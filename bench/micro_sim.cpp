@@ -1,13 +1,17 @@
 // PERF — google-benchmark microbenchmarks of the simulator substrate itself:
-// cache model throughput, TLB throughput, and interpreter speed.
+// cache model throughput, TLB throughput, and interpreter speed on an ALU
+// loop and on the memory-bound paper workload.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
+#include "collect/collector.hpp"
 #include "isa/assembler.hpp"
 #include "machine/cpu.hpp"
+#include "mcfsim/experiments.hpp"
+#include "mcfsim/mcfsim.hpp"
 #include "support/rng.hpp"
 
 using namespace dsprof;
@@ -78,6 +82,30 @@ void BM_InterpreterLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(instructions));
 }
 BENCHMARK(BM_InterpreterLoop);
+
+/// Interpreter speed on the memory-bound paper workload: the §3.1 run-1
+/// collect (+ecstall,+ecrm with clock profiling hi) over mcf-small, capped
+/// at 20M instructions. Reports simulated instructions/second, overflow
+/// delivery and backtracking included.
+void BM_McfSmallPaperRun1(benchmark::State& state) {
+  const mcfsim::PaperSetup s = mcfsim::PaperSetup::small();
+  const sym::Image image = mcfsim::build_mcf_image(s.build);
+  collect::CollectOptions opt;
+  opt.hw = "+ecstall,20011,+ecrm,211";
+  opt.clock = "hi";
+  opt.cpu = s.cpu;
+  opt.max_instructions = 20'000'000;
+  u64 instructions = 0;
+  for (auto _ : state) {
+    collect::Collector c(image, opt);
+    const experiment::Experiment ex =
+        c.run([&](machine::Cpu& cpu) { mcfsim::write_input(cpu.memory(), s.run); });
+    benchmark::DoNotOptimize(ex.events.size());
+    instructions += ex.total_instructions;
+  }
+  state.SetItemsProcessed(static_cast<i64>(instructions));
+}
+BENCHMARK(BM_McfSmallPaperRun1)->Unit(benchmark::kMillisecond);
 
 void BM_MemoryLoad(benchmark::State& state) {
   mem::Memory m;

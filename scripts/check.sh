@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite, once normally and once under
-# AddressSanitizer (DSPROF_SANITIZE=address), plus three static/dynamic gates:
+# AddressSanitizer (DSPROF_SANITIZE=address); the simulator suites once more
+# under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined); plus these
+# static/dynamic gates:
 #   - clang-tidy over src/sa/, src/opt/, src/collect/, src/machine/,
 #     src/obs/, src/serve/, src/experiment/ and src/analyze/ (skipped with a
 #     notice when clang-tidy is not installed — the reference container does
@@ -36,9 +38,10 @@
 #     (bench/multiplex holds the +/-5% renormalization-accuracy bar).
 # Usage:
 #
-#   scripts/check.sh            # both build passes + all gates + benches
+#   scripts/check.sh            # all build passes + all gates + benches
 #   scripts/check.sh --fast     # normal pass + gates only
 #   scripts/check.sh --asan     # ASan pass only
+#   scripts/check.sh --ubsan    # UBSan pass over the simulator suites only
 #   scripts/check.sh --bench    # benchmark sweep only (BENCH_*.json)
 #
 # Exits nonzero on the first failing step.
@@ -56,6 +59,23 @@ run_pass() {
   cmake --build "${dir}" -j "${jobs}"
   echo "== ${name}: ctest =="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
+}
+
+# UBSan over the suites that drive the simulator's inline fast paths —
+# pointer arithmetic into memory chunks and cache lines, u64 threshold
+# arithmetic for the time-driven counters — plus the collect and
+# multiplexing suites that run them end to end. Findings are fatal
+# (-fno-sanitize-recover), so a clean exit is a clean pass.
+ubsan_suites=(mem_test cache_test machine_test collect_test multiplex_test)
+run_ubsan() {
+  local dir="$1" t
+  echo "== ubsan: configure + build ${ubsan_suites[*]} (${dir}) =="
+  cmake -B "${dir}" -S "${repo}" -DDSPROF_SANITIZE=undefined
+  cmake --build "${dir}" -j "${jobs}" --target "${ubsan_suites[@]}"
+  for t in "${ubsan_suites[@]}"; do
+    echo "== ubsan: ${t} =="
+    UBSAN_OPTIONS=print_stacktrace=1 "${dir}/tests/${t}" --gtest_brief=1
+  done
 }
 
 # clang-tidy over the static-analysis, layout-optimizer, collect, machine,
@@ -441,6 +461,9 @@ case "${mode}" in
   --asan|asan)
     run_pass "asan" "${repo}/build-asan" -DDSPROF_SANITIZE=address
     ;;
+  --ubsan|ubsan)
+    run_ubsan "${repo}/build-ubsan"
+    ;;
   --bench|bench)
     cmake -B "${repo}/build" -S "${repo}" >/dev/null
     run_bench "${repo}/build"
@@ -458,9 +481,10 @@ case "${mode}" in
     run_mpx_smoke "${repo}/build"
     run_bench "${repo}/build"
     run_pass "asan" "${repo}/build-asan" -DDSPROF_SANITIZE=address
+    run_ubsan "${repo}/build-ubsan"
     ;;
   *)
-    echo "usage: $0 [--fast|--asan|--bench]" >&2
+    echo "usage: $0 [--fast|--asan|--ubsan|--bench]" >&2
     exit 2
     ;;
 esac

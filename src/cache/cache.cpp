@@ -12,23 +12,7 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   lines_.resize(num_sets_ * cfg_.ways);
 }
 
-CacheAccess Cache::access(u64 addr, bool write) {
-  ++accesses_;
-  const u64 set = set_index(addr);
-  const u64 tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.ways];
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      ++hits_;
-      l.lru = ++tick_;
-      if (write) l.dirty = true;
-      CacheAccess r;
-      r.hit = true;
-      return r;
-    }
-  }
-  // Miss.
+CacheAccess Cache::miss(u64 addr, bool write) {
   if (write && !cfg_.write_allocate) {
     return CacheAccess{};  // write-through no-allocate: nothing changes
   }
@@ -100,8 +84,6 @@ CacheConfig tlb_as_cache(const TlbConfig& t) {
 Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg), cache_(tlb_as_cache(cfg)) {
   DSP_CHECK(cfg.entries % cfg.ways == 0, "TLB entries not divisible by ways");
 }
-
-bool Tlb::lookup(u64 addr) { return cache_.access(addr, /*write=*/false).hit; }
 
 bool Tlb::probe(u64 addr) const { return cache_.probe(addr); }
 

@@ -37,8 +37,24 @@ class Cache {
 
   /// Perform a read (write=false) or write (write=true) of the line
   /// containing `addr`. Writes mark the line dirty when it is (or becomes)
-  /// resident.
-  CacheAccess access(u64 addr, bool write);
+  /// resident. The hit scan is inline; a miss goes out of line.
+  CacheAccess access(u64 addr, bool write) {
+    ++accesses_;
+    const u64 tag = tag_of(addr);
+    Line* base = &lines_[set_index(addr) * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      Line& l = base[w];
+      if (l.valid && l.tag == tag) {
+        ++hits_;
+        l.lru = ++tick_;
+        if (write) l.dirty = true;
+        CacheAccess r;
+        r.hit = true;
+        return r;
+      }
+    }
+    return miss(addr, write);
+  }
 
   /// Fill the line containing `addr` without counting it as a demand access
   /// (used for prefetches). No-op if already resident.
@@ -68,6 +84,7 @@ class Cache {
 
   u64 set_index(u64 addr) const { return (addr >> line_bits_) & (num_sets_ - 1); }
   u64 tag_of(u64 addr) const { return addr >> (line_bits_ + set_bits_); }
+  CacheAccess miss(u64 addr, bool write);
   CacheAccess allocate(u64 addr, bool write);
 
   CacheConfig cfg_;
@@ -94,7 +111,7 @@ class Tlb {
   explicit Tlb(const TlbConfig& cfg);
 
   /// True on hit; on miss the translation is filled (hardware table walk).
-  bool lookup(u64 addr);
+  bool lookup(u64 addr) { return cache_.access(addr, /*write=*/false).hit; }
   bool probe(u64 addr) const;
   void invalidate_all();
 

@@ -7,26 +7,7 @@ HierarchyConfig HierarchyConfig::ultrasparc3() { return HierarchyConfig{}; }
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& cfg)
     : cfg_(cfg), dc_(cfg.dcache), ic_(cfg.icache), ec_(cfg.ecache), dtlb_(cfg.dtlb) {}
 
-AccessOutcome MemoryHierarchy::data_access(u64 addr, bool write) {
-  AccessOutcome out;
-  if (!dtlb_.lookup(addr)) {
-    out.dtlb_miss = true;
-    out.stall_cycles += cfg_.dtlb_miss_cycles;
-  }
-  const CacheAccess dc = dc_.access(addr, write);
-  if (write) {
-    // Write-through: the store always reaches the E$ via the store buffer.
-    out.dc_wr_miss = !dc.hit;
-    out.ec_ref = true;
-    const CacheAccess ec = ec_.access(addr, /*write=*/true);
-    out.ec_wr_miss = !ec.hit;
-    // Store-buffer latency is hidden; no stall charged.
-    return out;
-  }
-  if (dc.hit) {
-    out.stall_cycles += cfg_.dc_hit_cycles;
-    return out;
-  }
+AccessOutcome MemoryHierarchy::ec_read(u64 addr, AccessOutcome out) {
   out.dc_rd_miss = true;
   out.ec_ref = true;
   const CacheAccess ec = ec_.access(addr, /*write=*/false);
@@ -51,10 +32,6 @@ AccessOutcome MemoryHierarchy::data_access(u64 addr, bool write) {
   return out;
 }
 
-AccessOutcome MemoryHierarchy::load(u64 addr) { return data_access(addr, /*write=*/false); }
-
-AccessOutcome MemoryHierarchy::store(u64 addr) { return data_access(addr, /*write=*/true); }
-
 AccessOutcome MemoryHierarchy::prefetch(u64 addr) {
   // Non-faulting, non-blocking: fills E$ (and D$) in the background. A TLB
   // miss aborts a real prefetch, so we only proceed on a resident page.
@@ -66,11 +43,9 @@ AccessOutcome MemoryHierarchy::prefetch(u64 addr) {
   return out;
 }
 
-AccessOutcome MemoryHierarchy::fetch(u64 pc) {
+AccessOutcome MemoryHierarchy::fetch_line(u64 pc) {
   AccessOutcome out;
-  const u64 line = ic_.line_addr(pc);
-  if (line == last_fetch_line_) return out;  // sequential fetch within a line
-  last_fetch_line_ = line;
+  last_fetch_line_ = ic_.line_addr(pc);
   const CacheAccess ic = ic_.access(pc, /*write=*/false);
   if (!ic.hit) {
     out.ic_miss = true;

@@ -52,10 +52,14 @@ class MemoryHierarchy {
  public:
   explicit MemoryHierarchy(const HierarchyConfig& cfg);
 
-  AccessOutcome load(u64 addr);
-  AccessOutcome store(u64 addr);
+  AccessOutcome load(u64 addr) { return data_access(addr, /*write=*/false); }
+  AccessOutcome store(u64 addr) { return data_access(addr, /*write=*/true); }
   AccessOutcome prefetch(u64 addr);
-  AccessOutcome fetch(u64 pc);
+  AccessOutcome fetch(u64 pc) {
+    // Sequential fetch within the last fetched line touches no cache state.
+    if (ic_.line_addr(pc) == last_fetch_line_) return AccessOutcome{};
+    return fetch_line(pc);
+  }
 
   const HierarchyConfig& config() const { return cfg_; }
   const Cache& dcache() const { return dc_; }
@@ -64,7 +68,31 @@ class MemoryHierarchy {
   const Tlb& dtlb() const { return dtlb_; }
 
  private:
-  AccessOutcome data_access(u64 addr, bool write);
+  [[gnu::always_inline]] AccessOutcome data_access(u64 addr, bool write) {
+    AccessOutcome out;
+    if (!dtlb_.lookup(addr)) {
+      out.dtlb_miss = true;
+      out.stall_cycles += cfg_.dtlb_miss_cycles;
+    }
+    const CacheAccess dc = dc_.access(addr, write);
+    if (write) {
+      // Write-through: the store always reaches the E$ via the store buffer.
+      out.dc_wr_miss = !dc.hit;
+      out.ec_ref = true;
+      const CacheAccess ec = ec_.access(addr, /*write=*/true);
+      out.ec_wr_miss = !ec.hit;
+      // Store-buffer latency is hidden; no stall charged.
+      return out;
+    }
+    if (dc.hit) {
+      out.stall_cycles += cfg_.dc_hit_cycles;
+      return out;
+    }
+    return ec_read(addr, out);
+  }
+  /// The E$ half of a load that missed the D$.
+  AccessOutcome ec_read(u64 addr, AccessOutcome out);
+  AccessOutcome fetch_line(u64 pc);
 
   HierarchyConfig cfg_;
   Cache dc_;

@@ -1,11 +1,19 @@
 #include "machine/cpu.hpp"
 
+#include <algorithm>
+
 #include "machine/hostcall.hpp"
+#include "obs/obs.hpp"
 
 namespace dsprof::machine {
 
 using isa::Instr;
 using isa::Op;
+
+namespace {
+// The events whose PIC counts are derived from cycles_ / instructions_.
+constexpr HwEvent kTimeEvents[] = {HwEvent::Cycle_cnt, HwEvent::Instr_cnt};
+}  // namespace
 
 Cpu::Cpu(mem::Memory& memory, const CpuConfig& cfg)
     : mem_(memory), cfg_(cfg), hier_(cfg.hierarchy), rng_(cfg.seed) {
@@ -30,19 +38,35 @@ void Cpu::configure_pic(unsigned pic, HwEvent ev, u64 interval, u64 start_value)
   DSP_CHECK(info.pic_mask & (1u << pic),
             std::string("event ") + info.name + " cannot be counted on PIC" +
                 std::to_string(pic));
-  pics_[pic] = Pic{true, ev, interval, start_value};
+  fold_time_pics();
+  pics_[pic] = Pic{true, ev, interval, start_value, 0};
   rebuild_event_routing();
 }
 
 void Cpu::disable_pic(unsigned pic) {
   DSP_CHECK(pic < kNumPics, "bad PIC index");
+  // Fold a live time-driven count back into the register first, so the
+  // residual a counter-multiplexing collector reads later is the one it
+  // stopped at.
+  fold_time_pics();
   pics_[pic].enabled = false;
   rebuild_event_routing();
 }
 
 u64 Cpu::pic_value(unsigned pic) const {
   DSP_CHECK(pic < kNumPics, "bad PIC index");
-  return pics_[pic].value;
+  const Pic& p = pics_[pic];
+  const bool time_driven = p.event == HwEvent::Cycle_cnt || p.event == HwEvent::Instr_cnt;
+  if (time_driven && pic_for_event_[static_cast<size_t>(p.event)] == pic + 1) {
+    return event_total(p.event) - p.origin;
+  }
+  return p.value;
+}
+
+void Cpu::fold_time_pics() {
+  for (const HwEvent ev : kTimeEvents) {
+    if (Pic* p = live_pic(ev)) p->value = event_total(ev) - p->origin;
+  }
 }
 
 void Cpu::rebuild_event_routing() {
@@ -54,17 +78,76 @@ void Cpu::rebuild_event_routing() {
       pic_for_event_[static_cast<size_t>(pics_[pic].event)] = static_cast<u8>(pic + 1);
     }
   }
+  // Live time-driven PICs resume from their folded register values.
+  for (const HwEvent ev : kTimeEvents) {
+    if (Pic* p = live_pic(ev)) p->origin = event_total(ev) - p->value;
+  }
+  recompute_thresholds();
 }
 
 void Cpu::configure_clock_profiling(u64 interval_cycles) {
   DSP_CHECK(interval_cycles > 0, "clock interval must be positive");
   clock_interval_ = interval_cycles;
-  clock_accum_ = 0;
+  clock_origin_ = cycles_;
+  recompute_thresholds();
 }
 
 void Cpu::configure_slice_timer(u64 interval_cycles) {
   slice_interval_ = interval_cycles;
-  slice_accum_ = 0;
+  slice_origin_ = cycles_;
+  recompute_thresholds();
+}
+
+void Cpu::recompute_thresholds() {
+  // The total at which a count that began at `origin` reaches `interval`
+  // (saturating: an interval beyond the u64 range never falls due).
+  auto due = [](u64 total, u64 origin, u64 interval) {
+    const u64 left = interval - (total - origin);
+    return left > kNever - total ? kNever : total + left;
+  };
+  next_cycle_check_ = kNever;
+  next_instr_check_ = kNever;
+  if (const Pic* p = live_pic(HwEvent::Cycle_cnt)) {
+    next_cycle_check_ = due(cycles_, p->origin, p->interval);
+  }
+  if (clock_interval_ != 0) {
+    next_cycle_check_ = std::min(next_cycle_check_, due(cycles_, clock_origin_, clock_interval_));
+  }
+  if (slice_interval_ != 0) {
+    next_cycle_check_ = std::min(next_cycle_check_, due(cycles_, slice_origin_, slice_interval_));
+  }
+  if (const Pic* p = live_pic(HwEvent::Instr_cnt)) {
+    next_instr_check_ = due(instructions_, p->origin, p->interval);
+  }
+}
+
+void Cpu::check_time_pic(HwEvent ev, u64 pc) {
+  Pic* p = live_pic(ev);
+  if (p == nullptr) return;
+  const u64 total = event_total(ev);
+  const u64 value = total - p->origin;
+  if (value >= p->interval) {
+    p->origin = total - value % p->interval;  // fold multiple overflows into one delivery
+    trigger_overflow(static_cast<unsigned>(p - pics_.data()), pc, false, 0);
+  }
+}
+
+void Cpu::fire_time_events(u64 pc) {
+  // The order per-instruction counting used: the Cycle_cnt PIC, the
+  // Instr_cnt PIC, the clock sample, then the slice timer. The slice timer
+  // fires between instructions (this one has fully counted, the next has
+  // not started), so a rotation callback sees consistent registers.
+  check_time_pic(HwEvent::Cycle_cnt, pc);
+  check_time_pic(HwEvent::Instr_cnt, pc);
+  if (clock_interval_ != 0 && cycles_ - clock_origin_ >= clock_interval_) {
+    clock_origin_ = cycles_ - (cycles_ - clock_origin_) % clock_interval_;
+    trigger_overflow(kClockPic, pc, false, 0);
+  }
+  if (slice_interval_ != 0 && cycles_ - slice_origin_ >= slice_interval_) {
+    slice_origin_ = cycles_ - (cycles_ - slice_origin_) % slice_interval_;
+    if (on_slice) on_slice();
+  }
+  recompute_thresholds();
 }
 
 u32 Cpu::draw_skid(HwEvent ev) {
@@ -107,7 +190,7 @@ void Cpu::count_event(HwEvent ev, u64 amount, u64 trigger_pc, bool ea_valid, u64
   }
 }
 
-void Cpu::count_outcome(const cache::AccessOutcome& out, u64 pc, u64 ea) {
+inline void Cpu::count_outcome(const cache::AccessOutcome& out, u64 pc, u64 ea) {
   if (out.dc_rd_miss) count_event(HwEvent::DC_rd_miss, 1, pc, true, ea);
   if (out.dc_wr_miss) count_event(HwEvent::DC_wr_miss, 1, pc, true, ea);
   if (out.ec_ref) count_event(HwEvent::EC_ref, 1, pc, true, ea);
@@ -140,28 +223,38 @@ void Cpu::deliver_due() {
   }
 }
 
-const Instr& Cpu::decoded(u64 pc) {
-  if (decode_cache_.empty()) {
+const Cpu::DecodedOp& Cpu::decoded_slow(u64 pc) {
+  if (text_.empty()) {
     const mem::Segment* text = nullptr;
     for (const auto& s : mem_.segments()) {
       if (s.kind == mem::SegKind::Text) text = &s;
     }
     DSP_CHECK(text != nullptr, "no text segment loaded");
+    std::vector<u32> words(text->size / 4);
+    mem_.read_bytes(text->base, words.data(), words.size() * 4);
+    text_.reserve(words.size());
+    for (const u32 w : words) {
+      const Instr ins = isa::decode(w);
+      DecodedOp d;
+      d.op = ins.op;
+      d.rd = ins.rd;
+      d.rs1 = ins.rs1;
+      d.rs2 = ins.rs2;
+      d.cond = ins.cond;
+      d.annul = ins.annul;
+      d.has_imm = ins.has_imm;
+      d.mem_size = static_cast<u8>(isa::op_info(ins.op).mem_size);
+      d.imm = ins.op == Op::BR || ins.op == Op::CALL ? ins.disp : ins.imm;
+      text_.push_back(d);
+    }
     text_base_ = text->base;
-    decode_cache_.resize(text->size / 4);
-    decode_valid_.assign(text->size / 4, 0);
   }
-  DSP_CHECK(pc >= text_base_ && (pc - text_base_) / 4 < decode_cache_.size() && pc % 4 == 0,
+  DSP_CHECK(pc >= text_base_ && (pc - text_base_) / 4 < text_.size() && pc % 4 == 0,
             "PC outside text segment");
-  const size_t idx = (pc - text_base_) / 4;
-  if (!decode_valid_[idx]) {
-    decode_cache_[idx] = isa::decode(mem_.fetch_word(pc));
-    decode_valid_[idx] = 1;
-  }
-  return decode_cache_[idx];
+  return text_[(pc - text_base_) / 4];
 }
 
-bool Cpu::eval_cond(isa::Cond c) const {
+inline bool Cpu::eval_cond(isa::Cond c) const {
   using isa::Cond;
   switch (c) {
     case Cond::N: return false;
@@ -224,23 +317,16 @@ void Cpu::exec_hcall(i64 code, u64 pc) {
   }
 }
 
-void Cpu::step() {
-  deliver_due();
+// Inlined into run(): the per-instruction path makes no call it can avoid.
+[[gnu::always_inline]] inline void Cpu::step() {
+  if (!pending_.empty()) deliver_due();
 
   if (annul_next_) {
     // The annulled delay-slot instruction is fetched but not executed; it
-    // neither retires nor counts toward pending skid.
+    // costs a cycle but neither retires nor counts toward pending skid.
     annul_next_ = false;
     cycles_ += 1;
-    count_event(HwEvent::Cycle_cnt, 1, pc_, false, 0);
-    if (clock_interval_ != 0 && ++clock_accum_ >= clock_interval_) {
-      clock_accum_ %= clock_interval_;
-      trigger_overflow(kClockPic, pc_, false, 0);
-    }
-    if (slice_interval_ != 0 && ++slice_accum_ >= slice_interval_) {
-      slice_accum_ %= slice_interval_;
-      if (on_slice) on_slice();
-    }
+    if (time_events_due()) fire_time_events(pc_);
     pc_ = npc_;
     npc_ += 4;
     return;
@@ -250,8 +336,7 @@ void Cpu::step() {
   const cache::AccessOutcome fetch_out = hier_.fetch(pc);
   if (fetch_out.ic_miss) count_event(HwEvent::IC_miss, 1, pc, false, 0);
 
-  const Instr& ins = decoded(pc);
-  const isa::OpInfo& info = isa::op_info(ins.op);
+  const DecodedOp& ins = decoded(pc);
 
   u64 next_pc = npc_;
   u64 next_npc = npc_ + 4;
@@ -327,7 +412,7 @@ void Cpu::step() {
     case Op::LDUW:
     case Op::LDUB: {
       const u64 ea = a + b;
-      const u64 v = mem_.load(ea, info.mem_size);
+      const u64 v = mem_.load(ea, ins.mem_size);
       const cache::AccessOutcome out = hier_.load(ea);
       cost += out.stall_cycles;
       count_outcome(out, pc, ea);
@@ -338,7 +423,7 @@ void Cpu::step() {
     case Op::STW:
     case Op::STB: {
       const u64 ea = a + b;
-      mem_.store(ea, info.mem_size, regs_[ins.rd]);
+      mem_.store(ea, ins.mem_size, regs_[ins.rd]);
       const cache::AccessOutcome out = hier_.store(ea);
       cost += out.stall_cycles;
       count_outcome(out, pc, ea);
@@ -355,7 +440,7 @@ void Cpu::step() {
     }
     case Op::BR: {
       const bool taken = eval_cond(ins.cond);
-      const u64 target = pc + static_cast<u64>(ins.disp);
+      const u64 target = pc + static_cast<u64>(ins.imm);
       if (taken) {
         if (ins.annul && ins.cond == isa::Cond::A) {
           // ba,a: delay slot annulled, jump immediately.
@@ -371,7 +456,7 @@ void Cpu::step() {
     }
     case Op::CALL: {
       regs_[isa::kLink] = pc;
-      next_npc = pc + static_cast<u64>(ins.disp);
+      next_npc = pc + static_cast<u64>(ins.imm);
       call_stack_.push_back(pc);
       break;
     }
@@ -395,26 +480,7 @@ void Cpu::step() {
 
   cycles_ += cost;
   ++instructions_;
-  count_event(HwEvent::Cycle_cnt, cost, pc, false, 0);
-  count_event(HwEvent::Instr_cnt, 1, pc, false, 0);
-
-  if (clock_interval_ != 0) {
-    clock_accum_ += cost;
-    if (clock_accum_ >= clock_interval_) {
-      clock_accum_ %= clock_interval_;
-      trigger_overflow(kClockPic, pc, false, 0);
-    }
-  }
-
-  // Slice timer: fires between instructions (this one has fully counted, the
-  // next has not started), so a rotation callback sees consistent registers.
-  if (slice_interval_ != 0) {
-    slice_accum_ += cost;
-    if (slice_accum_ >= slice_interval_) {
-      slice_accum_ %= slice_interval_;
-      if (on_slice) on_slice();
-    }
-  }
+  if (time_events_due()) fire_time_events(pc);
 
   // This instruction retired: pending deliveries skid one instruction closer.
   for (auto& p : pending_) {
@@ -426,6 +492,10 @@ void Cpu::step() {
 }
 
 RunResult Cpu::run(u64 max_instructions) {
+  static const obs::SpanName kRunSpan = obs::span_name("machine.run");
+  static const obs::Counter kInstructions = obs::counter("machine.instructions");
+  static const obs::Counter kCycles = obs::counter("machine.cycles");
+  const obs::ScopedSpan span(kRunSpan);
   const u64 instr0 = instructions_;
   const u64 cyc0 = cycles_;
   while (!halted_) {
@@ -443,6 +513,8 @@ RunResult Cpu::run(u64 max_instructions) {
   r.exit_code = exit_code_;
   r.instructions = instructions_ - instr0;
   r.cycles = cycles_ - cyc0;
+  kInstructions.add(r.instructions);
+  kCycles.add(r.cycles);
   return r;
 }
 

@@ -80,8 +80,12 @@ class Cpu {
   u64 total_instructions() const { return instructions_; }
   u64 total_cycles() const { return cycles_; }
   /// True (unsampled) total for each event — the oracle the sampled profile
-  /// estimates.
-  u64 event_total(HwEvent ev) const { return event_totals_[static_cast<size_t>(ev)]; }
+  /// estimates. Cycle_cnt and Instr_cnt are the machine's own clocks.
+  u64 event_total(HwEvent ev) const {
+    if (ev == HwEvent::Cycle_cnt) return cycles_;
+    if (ev == HwEvent::Instr_cnt) return instructions_;
+    return event_totals_[static_cast<size_t>(ev)];
+  }
 
   void set_truth_log_enabled(bool on) { truth_enabled_ = on; }
   const std::vector<TruthRecord>& truth_log() const { return truth_; }
@@ -103,6 +107,11 @@ class Cpu {
     HwEvent event = HwEvent::Cycle_cnt;
     u64 interval = 0;
     u64 value = 0;
+    // A PIC counting Cycle_cnt or Instr_cnt (a time-driven PIC) keeps no
+    // running value while it is live: its register is the event's total
+    // (cycles_ or instructions_) minus `origin`, folded back into `value`
+    // whenever the PIC routing changes.
+    u64 origin = 0;
   };
 
   struct Pending {
@@ -111,17 +120,58 @@ class Cpu {
     OverflowDelivery partial;  // filled except regs/delivered_pc
   };
 
+  /// One pre-decoded text word: the isa::Instr fields step() reads plus the
+  /// op_info facts it needs, in 16 bytes.
+  struct DecodedOp {
+    isa::Op op = isa::Op::ILLEGAL;
+    u8 rd = 0;
+    u8 rs1 = 0;
+    u8 rs2 = 0;
+    isa::Cond cond = isa::Cond::N;
+    bool annul = false;
+    bool has_imm = false;
+    u8 mem_size = 0;  // bytes moved by a load or store
+    i64 imm = 0;      // simm15 / imm21, or the BR/CALL byte displacement
+  };
+  static_assert(sizeof(DecodedOp) == 16);
+
+  static constexpr u64 kNever = ~u64{0};
+
   void step();
   void deliver_due();
   void count_event(HwEvent ev, u64 amount, u64 trigger_pc, bool ea_valid, u64 ea);
   void trigger_overflow(unsigned pic, u64 trigger_pc, bool ea_valid, u64 ea);
   void count_outcome(const cache::AccessOutcome& out, u64 pc, u64 ea);
   u32 draw_skid(HwEvent ev);
-  const isa::Instr& decoded(u64 pc);
+  const DecodedOp& decoded(u64 pc) {
+    const u64 idx = (pc - text_base_) / 4;
+    if (idx < text_.size() && pc % 4 == 0) return text_[idx];
+    return decoded_slow(pc);
+  }
+  const DecodedOp& decoded_slow(u64 pc);
   void exec_hcall(i64 code, u64 pc);
   bool eval_cond(isa::Cond c) const;
   void set_cc_add(u64 a, u64 b, u64 r);
   void set_cc_sub(u64 a, u64 b, u64 r);
+
+  // --- time-driven events ---------------------------------------------------
+  // Cycle_cnt/Instr_cnt PIC overflows, clock samples and slice expiries are
+  // not counted per instruction: each instruction compares the running
+  // totals against the next absolute threshold, and fire_time_events()
+  // handles whatever fell due and recomputes the thresholds.
+  bool time_events_due() const {
+    return cycles_ >= next_cycle_check_ || instructions_ >= next_instr_check_;
+  }
+  void fire_time_events(u64 pc);
+  void check_time_pic(HwEvent ev, u64 pc);
+  void recompute_thresholds();
+  /// The live PIC counting `ev`, or nullptr.
+  Pic* live_pic(HwEvent ev) {
+    const u8 pic_plus1 = pic_for_event_[static_cast<size_t>(ev)];
+    return pic_plus1 == 0 ? nullptr : &pics_[pic_plus1 - 1];
+  }
+  void fold_time_pics();
+  void rebuild_event_routing();
 
   mem::Memory& mem_;
   CpuConfig cfg_;
@@ -146,15 +196,18 @@ class Cpu {
   std::array<Pic, kNumPics> pics_{};
   // Fast event -> PIC routing: 0 = not counted, else PIC index + 1.
   std::array<u8, kNumHwEvents> pic_for_event_{};
-  void rebuild_event_routing();
   std::vector<Pending> pending_;  // in-flight skidding deliveries
   // Reused for every delivery so the hot path performs no per-event heap
   // allocation (the callstack vector keeps its capacity between events).
   OverflowDelivery scratch_delivery_;
   u64 clock_interval_ = 0;        // 0 = clock profiling off
-  u64 clock_accum_ = 0;
+  u64 clock_origin_ = 0;          // cycles_ when the current clock tick began
   u64 slice_interval_ = 0;        // 0 = slice timer off
-  u64 slice_accum_ = 0;
+  u64 slice_origin_ = 0;          // cycles_ when the current slice began
+  // Absolute thresholds: the earliest cycles_ / instructions_ total at which
+  // a time-driven event can fall due (kNever = none armed).
+  u64 next_cycle_check_ = kNever;
+  u64 next_instr_check_ = kNever;
   u64 next_seq_ = 0;
 
   bool truth_enabled_ = true;
@@ -163,10 +216,9 @@ class Cpu {
   std::vector<i64> trace_;
   std::vector<AllocRecord> allocs_;
 
-  // Decode cache over the text segment.
+  // The text segment, decoded whole on first use.
   u64 text_base_ = 0;
-  std::vector<isa::Instr> decode_cache_;
-  std::vector<u8> decode_valid_;
+  std::vector<DecodedOp> text_;
 };
 
 }  // namespace dsprof::machine

@@ -70,7 +70,7 @@ const Segment* Memory::require_segment(u64 addr, unsigned size, bool write, bool
   return s;
 }
 
-u64 Memory::load(u64 addr, unsigned size) {
+u64 Memory::load_checked(u64 addr, unsigned size) {
   require_segment(addr, size, /*write=*/false, /*exec=*/false);
   DSP_CHECK(addr % size == 0, "misaligned load");
   // Accesses never straddle a chunk: size <= 8 and addr is size-aligned.
@@ -81,7 +81,7 @@ u64 Memory::load(u64 addr, unsigned size) {
   return v;
 }
 
-void Memory::store(u64 addr, unsigned size, u64 value) {
+void Memory::store_checked(u64 addr, unsigned size, u64 value) {
   require_segment(addr, size, /*write=*/true, /*exec=*/false);
   DSP_CHECK(addr % size == 0, "misaligned store");
   u8* c = chunk_for(addr);

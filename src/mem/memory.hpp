@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,8 +57,21 @@ class Memory {
 
   /// Typed accesses. `size` is 1, 4 or 8; loads zero-extend.
   /// Throws Error on unmapped addresses or (for writes) read-only segments.
-  u64 load(u64 addr, unsigned size);
-  void store(u64 addr, unsigned size, u64 value);
+  u64 load(u64 addr, unsigned size) {
+    if (const u8* p = fast_bytes(addr, size, /*write=*/false)) {
+      u64 v = 0;
+      std::memcpy(&v, p, size);
+      return v;
+    }
+    return load_checked(addr, size);
+  }
+  void store(u64 addr, unsigned size, u64 value) {
+    if (u8* p = fast_bytes(addr, size, /*write=*/true)) {
+      std::memcpy(p, &value, size);
+      return;
+    }
+    store_checked(addr, size, value);
+  }
 
   /// Instruction fetch (requires an executable segment).
   u32 fetch_word(u64 addr);
@@ -81,6 +95,21 @@ class Memory {
     std::vector<std::unique_ptr<u8[]>> chunks{kChunksPerRegion};
   };
 
+  /// The backing bytes of an access that needs no check: the cached segment
+  /// holds the whole access and permits it, the address is aligned and its
+  /// chunk is already backed. nullptr sends the access down the checked path.
+  u8* fast_bytes(u64 addr, unsigned size, bool write) const {
+    const Segment* s = cached_segment_;
+    if (s == nullptr || (write && !s->writable)) return nullptr;
+    const u64 off = addr - s->base;
+    if (off >= s->size || s->size - off < size || (addr & (size - 1)) != 0) return nullptr;
+    const u64 region = addr >> kRegionBits;
+    if (region >= kNumRegions || !regions_[region]) return nullptr;
+    u8* c = regions_[region]->chunks[(addr >> kChunkBits) & (kChunksPerRegion - 1)].get();
+    return c == nullptr ? nullptr : c + (addr & (kChunkSize - 1));
+  }
+  u64 load_checked(u64 addr, unsigned size);
+  void store_checked(u64 addr, unsigned size, u64 value);
   u8* chunk_for(u64 addr);
   const u8* chunk_if_present(u64 addr) const;
   const Segment* require_segment(u64 addr, unsigned size, bool write, bool exec);

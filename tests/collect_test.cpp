@@ -3,6 +3,8 @@
 #include <map>
 
 #include "dsl_fixtures.hpp"
+#include "mcfsim/experiments.hpp"
+#include "mcfsim/mcfsim.hpp"
 
 namespace dsprof::collect {
 namespace {
@@ -330,6 +332,134 @@ TEST_F(CollectorEndToEnd, DeterministicAcrossRuns) {
     EXPECT_EQ(a.events[i].candidate_pc, b.events[i].candidate_pc);
   }
   EXPECT_EQ(a.total_cycles, b.total_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// Simulator byte identity: FNV-1a digests of everything a collect run of
+// mcf-small produces — the event store, the ground-truth log, the slice
+// table and the machine's own totals and counter registers — pinned to the
+// digests of the per-instruction simulator the fast path replaced (DESIGN
+// §3.9). Any change to timing, counting, skid draws, delivery order or
+// multiplexed rotation moves a digest.
+
+class Fnv1a {
+ public:
+  void add(u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 1099511628211ull;
+    }
+  }
+  u64 value() const { return h_; }
+
+ private:
+  u64 h_ = 14695981039346656037ull;
+};
+
+struct GoldenDigests {
+  u64 events = 0;   // every event column, callstack contents included
+  u64 truth = 0;    // truth log + slice table
+  u64 machine = 0;  // nine event totals, cycles, instructions, PIC values
+};
+
+GoldenDigests golden_run(const std::string& hw, const std::string& clock, u64 slice_cycles) {
+  const mcfsim::PaperSetup s = mcfsim::PaperSetup::small();
+  const sym::Image image = mcfsim::build_mcf_image(s.build);
+  CollectOptions opt;
+  opt.hw = hw;
+  opt.clock = clock;
+  opt.cpu = s.cpu;
+  opt.max_instructions = 20'000'000;
+  if (slice_cycles != 0) opt.mpx_slice_cycles = slice_cycles;
+  Collector col(image, opt);
+  const experiment::Experiment ex =
+      col.run([&](machine::Cpu& cpu) { mcfsim::write_input(cpu.memory(), s.run); });
+  const machine::Cpu& cpu = col.cpu();
+
+  GoldenDigests g;
+  Fnv1a ev;
+  ev.add(ex.events.size());
+  for (const auto& e : ex.events) {
+    ev.add(e.pic);
+    ev.add(static_cast<u64>(e.event));
+    ev.add(e.weight);
+    ev.add(e.delivered_pc);
+    ev.add(e.has_candidate);
+    ev.add(e.candidate_pc);
+    ev.add(e.has_ea);
+    ev.add(e.ea);
+    ev.add(e.seq);
+    ev.add(e.set);
+    ev.add(e.callstack.size());
+    for (const u64 pc : e.callstack) ev.add(pc);
+  }
+  g.events = ev.value();
+
+  Fnv1a tr;
+  tr.add(ex.truth.size());
+  for (const auto& t : ex.truth) {
+    tr.add(t.seq);
+    tr.add(t.pic);
+    tr.add(static_cast<u64>(t.event));
+    tr.add(t.trigger_pc);
+    tr.add(t.ea_valid);
+    tr.add(t.ea);
+    tr.add(t.skid);
+  }
+  tr.add(ex.slices.size());
+  for (const auto& sl : ex.slices) {
+    tr.add(sl.live_cycles);
+    tr.add(sl.switches);
+  }
+  g.truth = tr.value();
+
+  Fnv1a m;
+  for (size_t i = 0; i < machine::kNumHwEvents; ++i) {
+    m.add(cpu.event_total(static_cast<HwEvent>(i)));
+  }
+  m.add(cpu.total_cycles());
+  m.add(cpu.total_instructions());
+  m.add(ex.total_cycles);
+  m.add(ex.total_instructions);
+  m.add(cpu.pic_value(0));
+  m.add(cpu.pic_value(1));
+  g.machine = m.value();
+  return g;
+}
+
+void expect_golden(const std::string& hw, const std::string& clock, u64 slice_cycles,
+                   const GoldenDigests& want) {
+  const GoldenDigests got = golden_run(hw, clock, slice_cycles);
+  EXPECT_EQ(got.events, want.events) << hw << " events";
+  EXPECT_EQ(got.truth, want.truth) << hw << " truth log / slices";
+  EXPECT_EQ(got.machine, want.machine) << hw << " totals / PIC values";
+}
+
+TEST(SimulatorGolden, PaperRun1) {
+  expect_golden("+ecstall,20011,+ecrm,211", "hi", 0,
+                {14450395501537816548ull, 14155141857723719094ull, 15739851194680285938ull});
+}
+
+TEST(SimulatorGolden, PaperRun2) {
+  expect_golden("+ecref,997,+dtlbm,101", "off", 0,
+                {6487124873604293843ull, 14408675096701344455ull, 3141560569915422420ull});
+}
+
+TEST(SimulatorGolden, DenseMultiplexed) {
+  expect_golden("+ecstall,2003,+ecrm,23,+ecref,101,+dtlbm,11", "hi", 0,
+                {1482048987606272029ull, 16266540297009863611ull, 16144017573939986860ull});
+}
+
+TEST(SimulatorGolden, TimeCountersRotatedOnShortSlices) {
+  // cycles and insts PICs disabled and re-armed from their residuals every
+  // 10007 cycles, beside the clock and the slice timer.
+  expect_golden("cycles,10007,insts,9973,+ecrm,61,+dtlbm,13", "on", 10007,
+                {8830157152782004524ull, 14057281427990303180ull, 6836642059799993418ull});
+}
+
+TEST(SimulatorGolden, InstructionCounterWithClock) {
+  expect_golden("insts,991,+ecrm,23", "hi", 0,
+                {13331187663231944744ull, 14680305109985958795ull, 5016630724408872425ull});
 }
 
 }  // namespace

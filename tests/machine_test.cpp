@@ -5,6 +5,7 @@
 #include "isa/assembler.hpp"
 #include "machine/cpu.hpp"
 #include "machine/hostcall.hpp"
+#include "obs/obs.hpp"
 
 namespace dsprof::machine {
 namespace {
@@ -465,6 +466,134 @@ TEST(HwEventTable, SkidOrderingMatchesPaper) {
   EXPECT_EQ(hw_event_info(HwEvent::DTLB_miss).skid_max, 0u);
   EXPECT_GT(hw_event_info(HwEvent::EC_ref).skid_max,
             hw_event_info(HwEvent::EC_rd_miss).skid_max);
+}
+
+// --- counter residuals ------------------------------------------------------
+// A multiplexing collector reads pic_value() before disable_pic() and re-arms
+// the register with it later. The residual must survive the disable however
+// long the register stays off, and counting must resume from it exactly.
+
+/// A loop whose loads stride past every cache line, so instructions cost
+/// varying cycle counts.
+void strided_load_loop(Assembler& a) {
+  auto head = a.new_label();
+  auto end = a.new_label();
+  a.emit(sethi(O2, mem::kHeapBase >> 14));
+  a.emit(mov_ri(O1, 5000));
+  a.bind(head);
+  a.emit(cmp_ri(O1, 0));
+  a.emit_branch(Cond::E, end);
+  a.emit(nop());
+  a.emit(load_ri(Op::LDX, O3, O2, 0));
+  a.emit(alu_ri(Op::ADD, O2, O2, 520));
+  a.emit(alu_ri(Op::SUB, O1, O1, 1));
+  a.emit_branch(Cond::A, head);
+  a.emit(nop());
+  a.bind(end);
+  a.emit(mov_ri(O0, 0));
+}
+
+void check_residual_round_trip(HwEvent ev) {
+  SCOPED_TRACE(hw_event_info(ev).name);
+  constexpr u64 kInterval = 997;
+  TestMachine tm(strided_load_loop);
+  Cpu& cpu = tm.cpu();
+  auto count = [&] {
+    return ev == HwEvent::Cycle_cnt ? cpu.total_cycles() : cpu.total_instructions();
+  };
+
+  cpu.configure_pic(0, ev, kInterval);
+  tm.run(1234);
+  const u64 residual = cpu.pic_value(0);
+  EXPECT_EQ(residual, count() % kInterval);
+  cpu.disable_pic(0);
+  EXPECT_EQ(cpu.pic_value(0), residual);
+  tm.run(777);  // the register is off: nothing counts
+  EXPECT_EQ(cpu.pic_value(0), residual);
+
+  const size_t triggers = cpu.truth_log().size();
+  cpu.configure_pic(0, ev, kInterval, residual);
+  EXPECT_EQ(cpu.pic_value(0), residual);
+  const u64 base = count();
+  // The overflow is raised by the first instruction that takes the count
+  // from the residual to the interval — not one instruction earlier or later.
+  for (;;) {
+    tm.run(1);
+    const u64 counted = residual + (count() - base);
+    if (counted >= kInterval) {
+      EXPECT_EQ(cpu.truth_log().size(), triggers + 1);
+      EXPECT_EQ(cpu.pic_value(0), counted % kInterval);
+      break;
+    }
+    ASSERT_EQ(cpu.truth_log().size(), triggers);
+    ASSERT_EQ(cpu.pic_value(0), counted);
+  }
+}
+
+TEST(Counters, CycleResidualSurvivesDisableAndResumes) {
+  check_residual_round_trip(HwEvent::Cycle_cnt);
+}
+
+TEST(Counters, InstructionResidualSurvivesDisableAndResumes) {
+  check_residual_round_trip(HwEvent::Instr_cnt);
+}
+
+// --- control leaving the text segment --------------------------------------
+
+/// The Error message of running `cpu` ("" if it does not throw).
+std::string run_error(Cpu& cpu) {
+  try {
+    cpu.run(1000);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Exec, JmplToDataAddressFaults) {
+  TestMachine tm([](Assembler& a) {
+    a.emit(sethi(O1, mem::kDataBase >> 14));
+    a.emit(jmpl(G0, O1, 0));
+    a.emit(nop());
+  });
+  EXPECT_NE(run_error(tm.cpu()).find("PC outside text segment"), std::string::npos);
+  EXPECT_EQ(tm.cpu().pc(), mem::kDataBase);
+}
+
+TEST(Exec, FallingOffTheLastTextWordFaults) {
+  mem::Memory m;
+  const std::vector<u32> words = {isa::encode(mov_ri(O0, 1)), isa::encode(nop())};
+  m.add_segment({"text", mem::SegKind::Text, mem::kTextBase, words.size() * 4, false, true});
+  m.add_segment({"data", mem::SegKind::Data, mem::kTextBase + words.size() * 4, 0x1000, true,
+                 false});
+  m.write_bytes(mem::kTextBase, words.data(), words.size() * 4);
+  Cpu cpu(m, CpuConfig{});
+  cpu.set_pc(mem::kTextBase);
+  EXPECT_NE(run_error(cpu).find("PC outside text segment"), std::string::npos);
+  EXPECT_EQ(cpu.total_instructions(), 2u);
+  EXPECT_EQ(cpu.reg(O0), 1u);
+}
+
+// --- self-observability -----------------------------------------------------
+
+TEST(Obs, RunRecordsInstructionsCyclesAndSpan) {
+  obs::set_enabled(true);
+  obs::reset_for_test();
+  TestMachine tm(strided_load_loop);
+  RunResult total;
+  for (const u64 max : {u64{1500}, u64{0}}) {  // a capped run, then to the exit
+    const RunResult r = tm.run(max);
+    total.instructions += r.instructions;
+    total.cycles += r.cycles;
+  }
+  EXPECT_TRUE(tm.cpu().halted());
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(snap.counter_value("machine.instructions"), total.instructions);
+  EXPECT_EQ(snap.counter_value("machine.cycles"), total.cycles);
+  std::vector<std::string> names;
+  size_t runs = 0;
+  for (const auto& span : obs::span_records(&names)) runs += names[span.name] == "machine.run";
+  EXPECT_EQ(runs, 2u);
 }
 
 }  // namespace

@@ -109,5 +109,83 @@ TEST(Memory, ReadBytesOfUntouchedMemoryIsZero) {
   for (u8 b : buf) EXPECT_EQ(b, 0);
 }
 
+// The same faults once a successful access has warmed the one-entry segment
+// cache and backed the chunk: loads and stores take a fast path only when
+// the cached segment holds and permits the whole aligned access, so every
+// fault must still surface with its message.
+
+/// The Error message `fn` throws ("" if it does not throw).
+template <typename Fn>
+std::string fault_message(Fn fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Memory, UnmappedFaultsAfterWarmAccess) {
+  Memory m;
+  setup_mem(m);
+  m.store(kHeapBase + 0xFFFF8, 8, 7);
+  EXPECT_EQ(m.load(kHeapBase + 0xFFFF8, 8), 7u);
+  EXPECT_NE(fault_message([&] { m.load(kHeapBase + 0x100000, 8); })
+                .find("access to unmapped address"),
+            std::string::npos);
+  EXPECT_NE(fault_message([&] { m.store(kHeapBase + 0x100000, 8, 1); })
+                .find("access to unmapped address"),
+            std::string::npos);
+  EXPECT_NE(fault_message([&] { m.load(0x999, 8); }).find("access to unmapped address"),
+            std::string::npos);
+  EXPECT_EQ(m.load(kHeapBase + 0xFFFF8, 8), 7u);
+}
+
+TEST(Memory, WriteToReadOnlyFaultsAfterWarmAccess) {
+  Memory m;
+  setup_mem(m);
+  const u32 word = 0x12345678;
+  m.write_bytes(kTextBase, &word, 4);
+  EXPECT_EQ(m.load(kTextBase, 4), word);  // text is readable
+  EXPECT_NE(fault_message([&] { m.store(kTextBase, 4, 1); })
+                .find("write to read-only segment text"),
+            std::string::npos);
+  EXPECT_EQ(m.load(kTextBase, 4), word);
+}
+
+TEST(Memory, MisalignedAccessFaultsAfterWarmAccess) {
+  Memory m;
+  setup_mem(m);
+  m.store(kHeapBase, 8, 1);
+  EXPECT_EQ(m.load(kHeapBase + 8, 8), 0u);
+  EXPECT_NE(fault_message([&] { m.load(kHeapBase + 3, 8); }).find("misaligned load"),
+            std::string::npos);
+  EXPECT_NE(fault_message([&] { m.store(kHeapBase + 2, 4, 1); }).find("misaligned store"),
+            std::string::npos);
+  EXPECT_EQ(m.load(kHeapBase, 8), 1u);
+}
+
+TEST(Memory, AccessStraddlingSegmentEndFaultsAfterWarmAccess) {
+  Memory m;
+  setup_mem(m);
+  m.store(kDataBase + 0x1000 - 8, 8, 3);
+  EXPECT_EQ(m.load(kDataBase + 0x1000 - 8, 8), 3u);
+  EXPECT_NE(fault_message([&] { m.load(kDataBase + 0x1000 - 4, 8); })
+                .find("access to unmapped address"),
+            std::string::npos);
+  // An aligned access over the end of a segment whose size is not a
+  // multiple of the access size.
+  m.add_segment({"odd", SegKind::Data, kDataBase + 0x10000, 12, true, false});
+  m.store(kDataBase + 0x10000, 8, 5);
+  EXPECT_EQ(m.load(kDataBase + 0x10000, 8), 5u);
+  EXPECT_NE(fault_message([&] { m.load(kDataBase + 0x10008, 8); })
+                .find("access to unmapped address"),
+            std::string::npos);
+  EXPECT_NE(fault_message([&] { m.store(kDataBase + 0x10008, 8, 1); })
+                .find("access to unmapped address"),
+            std::string::npos);
+  EXPECT_EQ(m.load(kDataBase + 0x10008, 4), 0u);
+}
+
 }  // namespace
 }  // namespace dsprof::mem

@@ -18,7 +18,7 @@
 // Floor: the ROADMAP's production north star is 100+ concurrent
 // collectors on one daemon. The bench sweeps 8/32/128 sessions and gates
 // on the 128-session aggregate ingest rate, machine-normalized with the
-// same Baseline-engine yardstick as bench/ingest_throughput (shared
+// same std::map oracle yardstick as bench/ingest_throughput (shared
 // runners vary 2x between sweeps; an absolute floor would gate the
 // runner, not the code). DSPROF_BENCH_FLOOR_EVENTS_PER_SEC overrides with
 // an absolute events/s floor; 0 disables.
@@ -36,6 +36,7 @@
 #include "analyze/reports.hpp"
 #include "bench_json.hpp"
 #include "mcfsim/experiments.hpp"
+#include "reduce_oracle.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
   }
   const double eps_fleet = sweep_eps.back();
 
-  // Machine-speed yardstick: the untouched Baseline reduction engine
+  // Machine-speed yardstick: the std::map reduction oracle (tests/)
   // against its committed rate (see bench/ingest_throughput). The fleet
   // floor asks the 128-session aggregate to sustain 40% of the
   // single-stream ingest floor — the dominant costs (decode + fold) are
@@ -210,7 +211,7 @@ int main(int argc, char** argv) {
   double t_base = 1e300;
   for (int i = 0; i < 2; ++i) {
     const auto t0 = Clock::now();
-    analyze::Reduction::run(one, 1, analyze::Reduction::Engine::Baseline);
+    oracle::reduce(one);
     t_base = std::min(t_base, seconds_since(t0));
   }
   const double base_eps = static_cast<double>(exps.ex1.events.size()) / t_base;
@@ -220,7 +221,7 @@ int main(int argc, char** argv) {
     floor = std::atof(env);
   }
   const bool pass = floor <= 0.0 || eps_fleet >= floor;
-  std::printf("baseline yardstick: %.2fM events/s (committed %.2fM)\n", base_eps / 1e6,
+  std::printf("oracle yardstick: %.2fM events/s (committed %.2fM)\n", base_eps / 1e6,
               committed_baseline / 1e6);
   std::printf("floor (128 sessions, aggregate): %.0f events/s (machine-normalized) -> %s\n",
               floor, pass ? "pass" : "FAIL");

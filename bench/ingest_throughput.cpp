@@ -6,8 +6,9 @@
 // The measured path is the full production pipeline:
 //   client: slice events into batches -> EventStore columnar encode ->
 //           frame -> pipe send (with real backpressure)
-//   server: frame decode -> EventStore decode -> bounded queue ->
-//           incremental fold into live aggregates
+//   server: frame decode -> EventStore decode -> incremental fold into
+//           live aggregates (inline in the reader while the reducer keeps
+//           up, else through the bounded queue)
 // ending with a flush barrier, so the clock stops only after every event
 // is folded. Snapshot correctness (bit-identity vs offline) is asserted
 // on the side.
@@ -15,16 +16,14 @@
 // Floor: the ROADMAP's production-scale north star needs ingest to keep up
 // with many concurrent collectors; with the zero-copy fast path (range
 // batch encode, frozen decode, queue-free reader-thread folds into the
-// radix engine) the acceptance bar is >= 10,000,000 events/s sustained
+// radix fold) the acceptance bar is >= 10,000,000 events/s sustained
 // through the in-process transport into live aggregates — normalized for
-// machine speed using the untouched Baseline reduction engine as an
-// in-run yardstick against its committed rate, exactly like
+// machine speed using the std::map reduction oracle (tests/) as an in-run
+// yardstick against its committed rate, exactly like
 // bench/pipeline_throughput's fold floor (shared runners vary 2x between
-// sweeps; an absolute floor would gate the runner, not the code). The
-// bench measures both ingest modes (direct = queue-free, queued = the
-// bounded queue hop) and applies the floor to the default direct path;
-// it exits nonzero below the floor (DSPROF_BENCH_FLOOR_EVENTS_PER_SEC
-// overrides with an absolute events/s floor; 0 disables).
+// sweeps; an absolute floor would gate the runner, not the code). It exits
+// nonzero below the floor (DSPROF_BENCH_FLOOR_EVENTS_PER_SEC overrides
+// with an absolute events/s floor; 0 disables).
 //
 // Emits one machine-readable JSON object on the last line.
 #include <chrono>
@@ -38,6 +37,7 @@
 #include "analyze/reports.hpp"
 #include "bench_json.hpp"
 #include "mcfsim/experiments.hpp"
+#include "reduce_oracle.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -55,10 +55,8 @@ double seconds_since(Clock::time_point t0) {
 /// barrier (hello/teardown excluded from the timed region would flatter the
 /// result — everything a real collector pays is included).
 double stream_once(const experiment::Experiment& ex, size_t batch_events,
-                   std::string* snapshot_json, bool direct_fold = true) {
-  serve::ServerOptions sopt;
-  sopt.direct_fold = direct_fold;
-  serve::Server server(sopt);
+                   std::string* snapshot_json) {
+  serve::Server server;
   auto [client_end, server_end] = serve::make_pipe_pair(/*capacity=*/4u << 20);
   server.add_session(std::move(server_end));
   serve::Client client(std::move(client_end));
@@ -118,21 +116,14 @@ int main(int argc, char** argv) {
   std::puts("snapshot == offline er_print -J: ok");
 
   const int kRuns = 3;
-  double best_direct = 1e300, best_queued = 1e300;
-  for (int i = 0; i < kRuns; ++i) {
-    best_direct = std::min(best_direct, stream_once(ex, 8192, nullptr, /*direct_fold=*/true));
-    best_queued = std::min(best_queued, stream_once(ex, 8192, nullptr, /*direct_fold=*/false));
-  }
-  const double eps = static_cast<double>(n_events) / best_direct;
-  const double eps_queued = static_cast<double>(n_events) / best_queued;
-  std::printf("ingest direct (queue-free): %.2fM events/s (best of %d, batch 8192)\n",
-              eps / 1e6, kRuns);
-  std::printf("ingest queued (bounded queue): %.2fM events/s (best of %d, batch 8192)\n",
-              eps_queued / 1e6, kRuns);
+  double best = 1e300;
+  for (int i = 0; i < kRuns; ++i) best = std::min(best, stream_once(ex, 8192, nullptr));
+  const double eps = static_cast<double>(n_events) / best;
+  std::printf("ingest: %.2fM events/s (best of %d, batch 8192)\n", eps / 1e6, kRuns);
 
-  // Machine-speed yardstick: fold the unreplicated run through the seed
-  // Baseline engine (untouched by the fast path) and scale the 10M floor
-  // by its rate relative to the committed 1.802810M events/s
+  // Machine-speed yardstick: fold the unreplicated run through the seed's
+  // std::map fold (the tests/ oracle) and scale the 10M floor by its rate
+  // relative to the committed 1.802810M events/s
   // (BENCH_pipeline_throughput.json). The 0.8 allowance absorbs
   // stage-to-stage runner drift and the slight workload difference (one
   // collect run here vs the FIG1 pair there).
@@ -140,7 +131,7 @@ int main(int argc, char** argv) {
   double t_base = 1e300;
   for (int i = 0; i < 2; ++i) {
     const auto t0 = Clock::now();
-    analyze::Reduction::run(one, 1, analyze::Reduction::Engine::Baseline);
+    oracle::reduce(one);
     t_base = std::min(t_base, seconds_since(t0));
   }
   const double base_eps = static_cast<double>(exps.ex1.events.size()) / t_base;
@@ -150,17 +141,16 @@ int main(int argc, char** argv) {
     floor = std::atof(env);
   }
   const bool pass = floor <= 0.0 || eps >= floor;
-  std::printf("baseline yardstick: %.2fM events/s (committed %.2fM)\n", base_eps / 1e6,
+  std::printf("oracle yardstick: %.2fM events/s (committed %.2fM)\n", base_eps / 1e6,
               committed_baseline / 1e6);
-  std::printf("floor (direct): %.0f events/s (machine-normalized) -> %s\n", floor,
+  std::printf("floor: %.0f events/s (machine-normalized) -> %s\n", floor,
               pass ? "pass" : "FAIL");
 
   json_out.emit(
       "{\"bench\":\"ingest_throughput\",\"events\":%zu,\"batch_events\":8192,"
-      "\"events_per_sec\":%.0f,\"queued_events_per_sec\":%.0f,"
-      "\"baseline_events_per_sec\":%.0f,"
+      "\"events_per_sec\":%.0f,\"baseline_events_per_sec\":%.0f,"
       "\"floor_events_per_sec\":%.0f,\"snapshot_matches_offline\":true,"
       "\"pass\":%s}",
-      n_events, eps, eps_queued, base_eps, floor, pass ? "true" : "false");
+      n_events, eps, base_eps, floor, pass ? "true" : "false");
   return pass ? 0 : 1;
 }

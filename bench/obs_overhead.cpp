@@ -1,7 +1,8 @@
 // OBS — the self-observability layer's acceptance bar (src/obs/): the
-// instrumentation wired through the pipeline hot paths (per-shard fold
-// timing in reduce_sharded, queue/fold accounting in the serve stack) must
-// cost < 3% on the two throughput benches it rides in, *with obs enabled*.
+// instrumentation wired through the pipeline hot paths (per-shard and
+// per-fold timing in Reduction::run, queue/fold accounting in the serve
+// stack) must cost < 3% on the two throughput benches it rides in, *with
+// obs enabled*.
 //
 // Method: the same process measures each hot path twice — obs disabled
 // (set_enabled(false): every probe is one relaxed atomic-bool load) and
@@ -10,14 +11,14 @@
 // drift and the median rejects scheduler outliers, which best-of-N does
 // not on a loaded single-core box.
 //
-//   reduce: analyze::Reduction sharded engine at the default thread count
-//           over the FIG1 small workload (the pipeline_throughput path);
+//   reduce: analyze::Reduction::run at its worker count over the FIG1 small
+//           workload (the pipeline_throughput path);
 //   ingest: full streaming session through the in-process pipe transport
 //           into a live server session (the ingest_throughput path).
 //
 // On the side, the cross-layer agreement invariant (the er_print -O vs
 // dsprofd Stats check, in-process): the obs counter "reduce.events.folded"
-// must advance by exactly the events the engines report reduced, and
+// must advance by exactly the events the reductions report, and
 // "serve.events.dropped" by exactly the session's drop count.
 //
 // Exits nonzero when either overhead exceeds the bar
@@ -113,11 +114,11 @@ int main(int argc, char** argv) {
   std::printf("workload: reduce %zu events (%u threads), ingest %zu events\n",
               n_reduce_events, threads, n_ingest_events);
 
-  // --- agreement: obs counters vs the engines' own accounting --------------
+  // --- agreement: obs counters vs the reductions' own accounting -----------
   // (er_print -O and a dsprofd Stats frame key on exactly these counters.)
   obs::set_enabled(true);
   const obs::Snapshot s0 = obs::snapshot();
-  const auto rr = analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Sharded);
+  const auto rr = analyze::Reduction::run(both);
   serve::Accounting acct;
   (void)stream_once(ex, &acct);
   const obs::Snapshot s1 = obs::snapshot();
@@ -137,11 +138,11 @@ int main(int argc, char** argv) {
 
   // --- overhead: adjacent off/on pairs, median ratio ------------------------
   const int kReps = 13;
+  const int kReduceRepeats = 16;
   // Each timed reduce sample folds the workload several times so the sample
   // is long enough (~50 ms) that scheduler ticks don't dominate the ratio.
   auto do_reduce = [&] {
-    for (int k = 0; k < 4; ++k)
-      (void)analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Sharded);
+    for (int k = 0; k < kReduceRepeats; ++k) (void)analyze::Reduction::run(both);
   };
   auto do_ingest = [&] { (void)stream_once(ex, nullptr); };
   (void)timed(false, do_reduce);  // warmup (allocator, page faults)

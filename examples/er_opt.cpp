@@ -42,7 +42,6 @@ void print_usage() {
       "                     in offline mode (always part of --run output)\n"
       "  --plan-out <file>  also write the plan (text form) to a file\n"
       "  --top <n>          hot E$ lines to report (default 10)\n"
-      "  --threads <n>      reduction threads (default $DSPROF_THREADS)\n"
       "  -J                 JSON output: the plan (offline) or the full\n"
       "                     loop report (--run)\n"
       "  --help             print this help and exit\n"
@@ -75,8 +74,6 @@ int main(int argc, char** argv) {
         plan_out = argv[++i];
       } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
         dopt.top_lines = static_cast<size_t>(std::stoul(argv[++i]));
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        dopt.threads = static_cast<unsigned>(std::stoul(argv[++i]));
       } else if (std::strcmp(argv[i], "-J") == 0) {
         json = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -114,9 +111,7 @@ int main(int argc, char** argv) {
             std::make_unique<experiment::Experiment>(experiment::Experiment::load(dir)));
         ptrs.push_back(exps.back().get());
       }
-      analyze::AnalysisOptions aopt;
-      aopt.threads = dopt.threads;
-      analyze::Analysis a(ptrs, aopt);
+      analyze::Analysis a(ptrs);
       // Offline: no machine to read the DTLB from, so no large-page hint.
       const opt::Planned p = opt::plan_for(a, dopt, /*dtlb_entries=*/0);
       plan = p.plan;

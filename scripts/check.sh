@@ -14,6 +14,13 @@
 #     memory ops statically attributable;
 #   - the cli-docs gate: docs/CLI.md flag tables must match each binary's
 #     live --help output in both directions;
+#   - the env-docs gate: every getenv("DSPROF_...") in src/, examples/ and
+#     bench/ must have a row in docs/CLI.md's environment table, and every
+#     row must name a variable something still reads (CMake rows are
+#     checked against CMakeLists.txt);
+#   - the temp-paths gate: tests/ must not name a fixed on-disk path (a
+#     fixed name collides between tests running in parallel; use
+#     tests/temp_dir.hpp);
 #   - the wire-docs gate: docs/WIRE.md must document every frame type
 #     src/serve/wire.hpp declares (and nothing it does not), carry the same
 #     protocol version as kWireVersion, and list a history row for every
@@ -57,8 +64,13 @@ run_pass() {
   echo "== ${name}: configure + build (${dir}) =="
   cmake -B "${dir}" -S "${repo}" "$@"
   cmake --build "${dir}" -j "${jobs}"
-  echo "== ${name}: ctest =="
-  ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
+  # The normal pass runs every test up to three times: a test that shares
+  # on-disk state with another fails only when the two happen to overlap
+  # under -j, so one green run proves little. The ASan pass runs once.
+  local repeat=()
+  [[ "${name}" == normal ]] && repeat=(--repeat until-fail:3)
+  echo "== ${name}: ctest ${repeat[*]:-} =="
+  ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${repeat[@]+"${repeat[@]}"}
 }
 
 # UBSan over the suites that drive the simulator's inline fast paths —
@@ -199,6 +211,60 @@ run_cli_docs() {
   done
   [[ ${ok} -eq 1 ]] || return 1
   echo "cli-docs: flag lists match --help for all six binaries"
+}
+
+# env-docs gate: docs/CLI.md's environment table must list exactly the
+# DSPROF_* variables the code reads. Every getenv("DSPROF_...") in src/,
+# examples/ and bench/ needs a row; every row must name a variable that a
+# getenv() there still reads, or, for rows whose consumer is "CMake
+# configure", one that CMakeLists.txt defines.
+run_env_docs() {
+  echo "== env-docs: docs/CLI.md environment table vs getenv() and CMakeLists.txt =="
+  local table read_vars doc_vars="" line consumer var ok=1
+  table="$(awk '/^## Environment variables$/{f=1;next} /^## /{f=0} f' "${repo}/docs/CLI.md")"
+  [[ -n "${table}" ]] || { echo "env-docs: no '## Environment variables' section in docs/CLI.md"; return 1; }
+  read_vars="$(grep -rhoE 'getenv\("DSPROF_[A-Z0-9_]+"\)' "${repo}/src" "${repo}/examples" \
+                 "${repo}/bench" | grep -oE 'DSPROF_[A-Z0-9_]+' | sort -u)"
+  while IFS= read -r line; do
+    consumer="$(cut -d'|' -f3 <<<"${line}")"
+    for var in $(cut -d'|' -f2 <<<"${line}" | grep -oE 'DSPROF_[A-Z0-9_]+'); do
+      doc_vars+="${var}"$'\n'
+      if [[ "${consumer}" == *"CMake configure"* ]]; then
+        grep -qw "${var}" "${repo}/CMakeLists.txt" \
+          || { echo "env-docs: ${var} documented as a CMake setting but absent from CMakeLists.txt"; ok=0; }
+      else
+        grep -qx "${var}" <<<"${read_vars}" \
+          || { echo "env-docs: ${var} documented but nothing in src/, examples/ or bench/ reads it"; ok=0; }
+      fi
+    done
+  done < <(grep -E '^\| `DSPROF_' <<<"${table}")
+  while read -r var; do
+    [[ -n "${var}" ]] || continue
+    grep -qx "${var}" <<<"${doc_vars}" \
+      || { echo "env-docs: ${var} is read by getenv() but has no row in docs/CLI.md"; ok=0; }
+  done <<<"${read_vars}"
+  [[ ${ok} -eq 1 ]] || return 1
+  echo "env-docs: $(grep -c . <<<"${doc_vars}") documented variables, all read; every getenv() documented"
+}
+
+# temp-paths gate: ctest runs each TEST as its own process, in parallel, so a
+# fixed on-disk name in tests/ ("/tmp/...", or TempDir() plus a constant)
+# lets two tests overwrite each other's files. Tests take a unique directory
+# from tests/temp_dir.hpp instead. The endpoint strings serve_test hands to
+# parse_endpoint are only parsed, never opened, and are exempt.
+run_temp_paths() {
+  echo "== temp-paths: no fixed on-disk paths in tests/ =="
+  local hits
+  hits="$(grep -nE '"/(var/)?tmp/|TempDir\(\) *\+|temp_directory_path' \
+            "${repo}"/tests/*.cpp "${repo}"/tests/*.hpp \
+          | grep -vE '^[^:]*/serve_test\.cpp:[0-9]+: .*(parse_endpoint\(|EXPECT_EQ\(e\.path, )' \
+          || true)"
+  if [[ -n "${hits}" ]]; then
+    echo "temp-paths FAILED: fixed on-disk paths in tests/ (use testfix::ScopedTempDir):"
+    echo "${hits}"
+    return 1
+  fi
+  echo "temp-paths: tests/ name no fixed on-disk paths"
 }
 
 # docs/WIRE.md drift gate: the wire-protocol reference must agree with
@@ -372,21 +438,19 @@ run_er_opt_smoke() {
 
 # End-to-end dsprofd smoke gate over a real Unix-domain socket: the streamed
 # snapshot of a live collect run must be byte-identical to the offline
-# er_print -J report of the experiment directory the same run saved. Runs
-# once per ingest mode ($2: direct = queue-free reader-thread folds, queued =
-# every batch through the bounded queue) — the snapshot and the obs
-# accounting cross-check must hold identically in both.
+# er_print -J report of the experiment directory the same run saved, the obs
+# accounting of the two must agree, and the queue-free fast path must have
+# folded at least one batch.
 run_dsprofd_smoke() {
-  local dir="$1" ingest="${2:-direct}"
-  echo "== dsprofd smoke (--ingest ${ingest}): streamed snapshot vs offline er_print -J =="
+  local dir="$1"
+  echo "== dsprofd smoke: streamed snapshot vs offline er_print -J =="
   cmake --build "${dir}" -j "${jobs}" --target dsprofd dsprof_send er_print
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
   local sock="${tmp}/dsprofd.sock"
 
-  "${dir}/examples/dsprofd" --socket "${sock}" --once --ingest "${ingest}" \
-    >"${tmp}/daemon.log" 2>&1 &
+  "${dir}/examples/dsprofd" --socket "${sock}" --once >"${tmp}/daemon.log" 2>&1 &
   local daemon_pid=$!
   for _ in $(seq 1 100); do
     [[ -S "${sock}" ]] && break
@@ -429,20 +493,16 @@ run_dsprofd_smoke() {
   fi
   echo "dsprofd smoke: obs self-profiles agree (folded ${offline_folded} = ${daemon_folded} + ${daemon_dropped} dropped)"
 
-  # Mode check: direct ingest must actually take the queue-free path (the
-  # first batch always can — queue empty, reducer idle), queued must never.
+  # Fast-path check: the first batch always finds the queue empty and the
+  # reducer idle, so at least one batch must have been folded inline.
   local direct_folds
   direct_folds="$(grep -oE '"direct_folds":[0-9]+' "${tmp}/daemon.log" | head -1 | cut -d: -f2)"
   direct_folds="${direct_folds:-0}"
-  if [[ "${ingest}" == direct && "${direct_folds}" -eq 0 ]]; then
-    echo "dsprofd smoke FAILED: --ingest direct but no batch took the queue-free path"
+  if [[ "${direct_folds}" -eq 0 ]]; then
+    echo "dsprofd smoke FAILED: no batch took the queue-free path"
     return 1
   fi
-  if [[ "${ingest}" == queued && "${direct_folds}" -ne 0 ]]; then
-    echo "dsprofd smoke FAILED: --ingest queued but ${direct_folds} batches folded inline"
-    return 1
-  fi
-  echo "dsprofd smoke: ingest mode ${ingest} honored (direct_folds=${direct_folds})"
+  echo "dsprofd smoke: queue-free fast path engaged (direct_folds=${direct_folds})"
 }
 
 case "${mode}" in
@@ -451,9 +511,10 @@ case "${mode}" in
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
+    run_env_docs
+    run_temp_paths
     run_wire_docs
-    run_dsprofd_smoke "${repo}/build" direct
-    run_dsprofd_smoke "${repo}/build" queued
+    run_dsprofd_smoke "${repo}/build"
     run_fleet_smoke "${repo}/build"
     run_er_opt_smoke "${repo}/build"
     run_mpx_smoke "${repo}/build"
@@ -473,9 +534,10 @@ case "${mode}" in
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
+    run_env_docs
+    run_temp_paths
     run_wire_docs
-    run_dsprofd_smoke "${repo}/build" direct
-    run_dsprofd_smoke "${repo}/build" queued
+    run_dsprofd_smoke "${repo}/build"
     run_fleet_smoke "${repo}/build"
     run_er_opt_smoke "${repo}/build"
     run_mpx_smoke "${repo}/build"

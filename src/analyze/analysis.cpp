@@ -38,8 +38,8 @@ bool data_cat_is_unknown(DataCat c) {
          c == DataCat::Unverifiable;
 }
 
-Analysis::Analysis(std::vector<const experiment::Experiment*> exps, AnalysisOptions options)
-    : exps_(std::move(exps)), opt_(options) {
+Analysis::Analysis(std::vector<const experiment::Experiment*> exps)
+    : exps_(std::move(exps)) {
   DSP_CHECK(!exps_.empty(), "no experiments to analyze");
   image_ = &exps_[0]->image;
   clock_hz_ = exps_[0]->clock_hz;
@@ -116,14 +116,12 @@ double Analysis::metric_stderr(size_t metric) const {
          std::sqrt(static_cast<double>(n));
 }
 
-Analysis::Analysis(const experiment::Experiment& ex, ReductionResult precomputed,
-                   AnalysisOptions options)
-    : Analysis(std::vector<const experiment::Experiment*>{&ex}, std::move(precomputed),
-               options) {}
+Analysis::Analysis(const experiment::Experiment& ex, ReductionResult precomputed)
+    : Analysis(std::vector<const experiment::Experiment*>{&ex}, std::move(precomputed)) {}
 
 Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
-                   ReductionResult precomputed, AnalysisOptions options)
-    : Analysis(std::move(exps), options) {
+                   ReductionResult precomputed)
+    : Analysis(std::move(exps)) {
   // The dsprofd snapshot path: adopt the live aggregates of an
   // IncrementalReducer (or a merge_results over several) instead of
   // re-reducing on first view access. The rendering experiments hold no
@@ -138,8 +136,7 @@ Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
 
 const ReductionResult& Analysis::reduce_locked() const {
   if (!r_) {
-    r_ = std::make_unique<ReductionResult>(
-        Reduction::run(exps_, opt_.threads, opt_.engine));
+    r_ = std::make_unique<ReductionResult>(Reduction::run(exps_));
     total_ = scaled(r_->total);
     data_total_ = scaled(r_->data_total);
   }
@@ -565,7 +562,7 @@ const std::vector<Analysis::AccessSample>& Analysis::member_accesses() const {
   // Window interning: (experiment, interned-callstack handle, leaf function
   // entry). Dense ids are assigned in event order — a serial pass over the
   // raw columns, so the result (and every plan derived from it) is
-  // independent of DSPROF_THREADS.
+  // independent of the reduction's shard count.
   std::map<std::tuple<size_t, u64, u32, u64>, u32> windows;
   for (size_t x = 0; x < exps_.size(); ++x) {
     const experiment::Experiment& ex = *exps_[x];

@@ -10,11 +10,11 @@
 //   (Unidentified)    compiler did not identify the object (temporary)
 //   (Unverifiable)    branch-target info inadequate to validate the trigger
 //
-// Analysis is a lazy facade over the sharded Reduction engine
-// (reduction.hpp): construction only records which experiments to analyze;
-// the single reduction pass runs on first view access (parallel across event
-// shards, controlled by DSPROF_THREADS), and every rendered view is memoized
-// so repeated render_* calls do not re-sort.
+// Analysis is a lazy facade over Reduction::run (reduction.hpp):
+// construction only records which experiments to analyze; the single
+// reduction pass runs on first view access (parallel across event shards),
+// and every rendered view is memoized so repeated render_* calls do not
+// re-sort.
 //
 // Thread safety: the lazy reduction and every memoized view are guarded by
 // one internal mutex, so concurrent readers (e.g. two dsprofd snapshot
@@ -53,26 +53,14 @@ enum class DataCat : u8 {
 const char* data_cat_name(DataCat c);
 bool data_cat_is_unknown(DataCat c);  // true for the five <Unknown> children
 
-struct AnalysisOptions {
-  /// Reduction threads: 0 = $DSPROF_THREADS or hardware concurrency;
-  /// 1 = serial. Any value produces bit-identical results (the reduction
-  /// accumulates integer weights).
-  unsigned threads = 0;
-  /// Reduction engine; Auto resolves DSPROF_REDUCE_ENGINE (default Radix).
-  /// Baseline is the seed-equivalent std::map reference used by equivalence
-  /// tests and bench/pipeline_throughput.
-  Reduction::Engine engine = Reduction::Engine::Auto;
-};
-
 class Analysis {
  public:
   /// Analyze one or more experiments from the *same binary* together (the
   /// paper's MCF study combines two collect runs). The experiments must
   /// outlive this Analysis.
-  explicit Analysis(std::vector<const experiment::Experiment*> exps,
-                    AnalysisOptions options = {});
-  explicit Analysis(const experiment::Experiment& ex, AnalysisOptions options = {})
-      : Analysis(std::vector<const experiment::Experiment*>{&ex}, options) {}
+  explicit Analysis(std::vector<const experiment::Experiment*> exps);
+  explicit Analysis(const experiment::Experiment& ex)
+      : Analysis(std::vector<const experiment::Experiment*>{&ex}) {}
 
   /// Wrap a *precomputed* reduction: views render from `precomputed` without
   /// re-reducing. This is the dsprofd snapshot path — the server folds
@@ -81,8 +69,7 @@ class Analysis {
   /// offline Analysis over the same events would (reduction.hpp documents
   /// why the two are bit-identical). `ex` supplies the image, clock, and
   /// allocation context and must outlive this Analysis.
-  Analysis(const experiment::Experiment& ex, ReductionResult precomputed,
-           AnalysisOptions options = {});
+  Analysis(const experiment::Experiment& ex, ReductionResult precomputed);
 
   /// Multi-experiment precomputed form: the fleet merged view. `exps`
   /// supply the combined rendering context exactly as the plain
@@ -91,8 +78,7 @@ class Analysis {
   /// reduction (merge_results over per-session reducer snapshots), so the
   /// rendered report is byte-identical to an offline multi-dir
   /// `er_print -J` over the same events.
-  Analysis(std::vector<const experiment::Experiment*> exps, ReductionResult precomputed,
-           AnalysisOptions options = {});
+  Analysis(std::vector<const experiment::Experiment*> exps, ReductionResult precomputed);
 
   const sym::SymbolTable& symtab() const { return image_->symtab; }
   const sym::Image& image() const { return *image_; }
@@ -287,7 +273,6 @@ class Analysis {
   void compute_scales();
 
   std::vector<const experiment::Experiment*> exps_;
-  AnalysisOptions opt_;
   const sym::Image* image_ = nullptr;
   u64 run_cycles_ = 0;
   u64 run_instructions_ = 0;

@@ -1,8 +1,7 @@
 #include "analyze/reduction.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -33,19 +32,10 @@ enum : u8 {
   kCatUnverifiable = 6,
 };
 
-/// Thread-local partial aggregates for one shard of events: a plain
-/// ReductionResult (the fold target everywhere — shard partials, the merged
-/// offline result, and the IncrementalReducer's live aggregates are the same
-/// shape) plus reused per-event scratch.
-struct Partial {
-  ReductionResult r;
-  std::vector<u32> frames;  // frame function ids, leaf included
-};
-
 /// Per-event attribution outcome tallies (paper §2.3 candidate validation).
 /// Plain integers bumped inside the fold loop — sub-nanosecond next to the
-/// fold itself — and flushed to obs counters once per shard / per fold()
-/// call, keeping the per-event hot path free of atomics.
+/// fold itself — and flushed to obs counters once per fold() call, keeping
+/// the per-event hot path free of atomics.
 struct AttrOutcomes {
   u64 clock = 0;          // clock-profile samples (no data attribution)
   u64 validated = 0;      // candidate PC survived branch-target validation
@@ -69,160 +59,10 @@ struct AttrOutcomes {
   }
 };
 
-/// Immutable fold context: which events, which symbols, which counters were
-/// collected with apropos backtracking. Built per experiment by the offline
-/// engines and per session by the IncrementalReducer. Backtracking is keyed
-/// by event, not by PIC register: a multiplexed run time-slices several
-/// counter sets onto the same registers, so a register number no longer
-/// identifies a counter spec (for a single always-live set the two keyings
-/// are equivalent — at most one spec per register).
-struct FoldContext {
-  const EventStore* events = nullptr;
-  const sym::SymbolTable* symtab = nullptr;
-  std::array<bool, machine::kNumHwEvents> backtrack_by_event{};
-};
-
-FoldContext context_of(const Experiment& ex) {
-  FoldContext c;
-  c.events = &ex.events;
-  c.symtab = &ex.image.symtab;
-  for (const auto& spec : ex.counters) {
-    c.backtrack_by_event[static_cast<size_t>(spec.event)] = spec.backtrack;
-  }
-  return c;
-}
-
 u32 func_id_for(const sym::SymbolTable& st, u64 pc, u32 unknown_id) {
   const sym::FuncInfo* f = st.find_function(pc);
   if (!f) return unknown_id;
   return static_cast<u32>(f - st.functions().data());
-}
-
-void add_counts(FlatHashU64Map<MetricCounts>& m, u64 key, size_t metric, u64 w) {
-  m[key][metric] += w;
-}
-
-/// Code-space attribution for one event: PC, function, line, inclusive
-/// functions (recursion-safe) and caller->callee edges from the callstack.
-void attribute_code(ReductionResult& r, std::vector<u32>& frames, const sym::SymbolTable& st,
-                    u32 unknown_id, u64 pc, bool artificial, size_t metric, u64 w,
-                    const experiment::CallstackRef& callstack) {
-  add_counts(r.pc, pc_key(pc, artificial), metric, w);
-  const u32 leaf = func_id_for(st, pc, unknown_id);
-  add_counts(r.func, leaf, metric, w);
-  if (auto line = st.line_for(pc)) add_counts(r.line, *line, metric, w);
-
-  frames.clear();
-  for (u64 site : callstack) frames.push_back(func_id_for(st, site, unknown_id));
-  frames.push_back(leaf);
-
-  // Each function on the stack gets the weight once (recursion-safe).
-  for (size_t i = 0; i < frames.size(); ++i) {
-    bool dup = false;
-    for (size_t j = 0; j < i; ++j) dup |= frames[j] == frames[i];
-    if (!dup) add_counts(r.incl, frames[i], metric, w);
-  }
-  for (size_t i = 0; i + 1 < frames.size(); ++i) {
-    add_counts(r.edge, edge_key(frames[i], frames[i + 1]), metric, w);
-  }
-}
-
-/// Fold one event into the aggregates — the exact attribution pipeline of
-/// the paper's §2.3 (candidate validation against branch targets, the
-/// <Unknown> breakdown of §3.2.5), matching the seed Analysis
-/// event-for-event. Shared verbatim by the offline sharded engine and the
-/// online IncrementalReducer, which is what makes the streamed and offline
-/// views bit-identical by construction.
-void fold_event(ReductionResult& r, std::vector<u32>& frames, const FoldContext& ctx,
-                u32 unknown_id, size_t i, AttrOutcomes& oc) {
-  const EventStore& ev = *ctx.events;
-  const sym::SymbolTable& st = *ctx.symtab;
-
-  const u8 pic = ev.pic_col()[i];
-  const u64 w = ev.weight_col()[i];
-  const u64 delivered_pc = ev.delivered_pc_col()[i];
-  const experiment::CallstackRef stack = ev.callstack(i);
-
-  if (pic == machine::kClockPic) {
-    // Clock-profile sample: code-space only; skid cannot be corrected
-    // (paper §3.2.3 — User CPU shows against unlikely instructions).
-    oc.clock += 1;
-    r.present[kUserCpuMetric] = true;
-    r.total[kUserCpuMetric] += w;
-    attribute_code(r, frames, st, unknown_id, delivered_pc, false, kUserCpuMetric, w, stack);
-    return;
-  }
-
-  const auto metric = static_cast<size_t>(ev.event_col()[i]);
-  r.present[metric] = true;
-  r.total[metric] += w;
-
-  const u8 flags = ev.flags_col()[i];
-  const bool has_candidate = (flags & EventStore::kHasCandidate) != 0;
-  const bool has_ea = (flags & EventStore::kHasEa) != 0;
-  const u64 candidate_pc = ev.candidate_pc_col()[i];
-  const bool backtracked = pic < machine::kNumPics && ctx.backtrack_by_event[metric];
-
-  auto data_bucket = [&](u8 cat, u32 sid) {
-    add_counts(r.data, data_key(cat, sid), metric, w);
-    r.data_total[metric] += w;
-  };
-
-  if (!backtracked || !has_candidate) {
-    // No candidate trigger: attribute code space to the delivered PC; the
-    // data object cannot be determined.
-    oc.no_candidate += 1;
-    attribute_code(r, frames, st, unknown_id, delivered_pc, false, metric, w, stack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-
-  if (!st.has_branch_targets()) {
-    // Cannot validate the candidate (no branch-target info, e.g. STABS).
-    oc.unverifiable += 1;
-    attribute_code(r, frames, st, unknown_id, candidate_pc, false, metric, w, stack);
-    data_bucket(kCatUnverifiable, sym::kInvalidType);
-    return;
-  }
-
-  if (auto target = st.branch_target_in(candidate_pc, delivered_pc)) {
-    // A branch target between the candidate and the delivered PC: the path
-    // to the interrupt is unknown. Attribute to an artificial branch-target
-    // PC (paper §2.3, the `*<branch target>` rows of Figure 4).
-    oc.branch_target += 1;
-    attribute_code(r, frames, st, unknown_id, *target, true, metric, w, stack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-
-  // Validated trigger PC.
-  oc.validated += 1;
-  attribute_code(r, frames, st, unknown_id, candidate_pc, false, metric, w, stack);
-
-  if (!st.hwcprof()) {
-    data_bucket(kCatUnascertainable, sym::kInvalidType);
-    return;
-  }
-  const sym::MemRef* ref = st.memref_for(candidate_pc);
-  if (!ref) {
-    data_bucket(kCatUnspecified, sym::kInvalidType);
-    return;
-  }
-  switch (ref->kind) {
-    case sym::MemRef::Kind::Unidentified:
-      data_bucket(kCatUnidentified, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::Scalar:
-      data_bucket(kCatScalars, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::StructMember:
-      data_bucket(kCatStruct, ref->aggregate);
-      add_counts(r.member, member_key(ref->aggregate, ref->member), metric, w);
-      break;
-  }
-  if (has_ea) {
-    r.ea_samples.push_back({ev.ea_col()[i], metric, static_cast<double>(w)});
-  }
 }
 
 void merge_map(FlatHashU64Map<MetricCounts>& into, const FlatHashU64Map<MetricCounts>& from) {
@@ -232,238 +72,27 @@ void merge_map(FlatHashU64Map<MetricCounts>& into, const FlatHashU64Map<MetricCo
   }
 }
 
-void merge_partial(ReductionResult& r, Partial&& p) {
-  for (size_t m = 0; m < kNumMetrics; ++m) {
-    r.present[m] = r.present[m] || p.r.present[m];
-    r.total[m] += p.r.total[m];
-    r.data_total[m] += p.r.data_total[m];
+/// Tally per-metric sample counts for events [begin, end) — clock samples
+/// under kUserCpuMetric, hardware samples under their event id (a straight
+/// column scan, so any batching agrees on ReductionResult::sample_counts).
+void count_samples_range(MetricCounts& counts, const experiment::EventStore& ev,
+                         size_t begin, size_t end) {
+  const auto pic = ev.pic_col();
+  const auto event = ev.event_col();
+  for (size_t i = begin; i < end; ++i) {
+    counts[pic[i] == machine::kClockPic ? kUserCpuMetric
+                                        : static_cast<size_t>(event[i])] += 1;
   }
-  merge_map(r.pc, p.r.pc);
-  merge_map(r.func, p.r.func);
-  merge_map(r.incl, p.r.incl);
-  merge_map(r.edge, p.r.edge);
-  merge_map(r.line, p.r.line);
-  merge_map(r.data, p.r.data);
-  merge_map(r.member, p.r.member);
-  r.ea_samples.insert(r.ea_samples.end(), p.r.ea_samples.begin(), p.r.ea_samples.end());
-}
-
-ReductionResult reduce_sharded(const std::vector<FoldContext>& ctxs, u32 unknown_id,
-                               unsigned threads) {
-  // Global event index space: experiments concatenated in order.
-  std::vector<size_t> prefix{0};
-  for (const auto& c : ctxs) prefix.push_back(prefix.back() + c.events->size());
-  const size_t n = prefix.back();
-
-  const size_t min_shard = 4096;  // don't spin threads for tiny stores
-  size_t nshards = threads;
-  if (nshards > 1 && n / nshards < min_shard) nshards = std::max<size_t>(1, n / min_shard);
-
-  static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
-  static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
-
-  std::vector<Partial> partials(nshards);
-  auto work = [&](size_t s) {
-    Partial& p = partials[s];
-    const size_t lo = n * s / nshards;
-    const size_t hi = n * (s + 1) / nshards;
-    if (lo >= hi) return;  // empty shard (e.g. every experiment is empty)
-    const obs::ScopedSpan span(kShardSpan);
-    const obs::ScopedTimer timer(kShardNs);
-    AttrOutcomes oc;
-    // Locate the experiment containing `lo`.
-    size_t e = 0;
-    while (prefix[e + 1] <= lo) ++e;
-    for (size_t g = lo; g < hi; ++g) {
-      while (prefix[e + 1] <= g) ++e;
-      fold_event(p.r, p.frames, ctxs[e], unknown_id, g - prefix[e], oc);
-    }
-    oc.flush(hi - lo);
-  };
-
-  if (nshards <= 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nshards);
-    for (size_t s = 0; s < nshards; ++s) pool.emplace_back(work, s);
-    for (auto& t : pool) t.join();
-  }
-
-  static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
-  const obs::ScopedTimer merge_timer(kMergeNs);
-  ReductionResult r;
-  r.events_reduced = n;
-  for (auto& p : partials) merge_partial(r, std::move(p));
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline engine: the seed's std::map/string fold, kept as the reference
-// implementation for equivalence tests and as the "seed-equivalent" mode of
-// bench/pipeline_throughput. Deliberately mirrors the seed's data structures
-// (string-keyed ordered maps, a per-event vector<string> of frame names) so
-// that its cost profile is honest.
-
-struct BaselineState {
-  std::array<bool, kNumMetrics> present{};
-  MetricVector total{};
-  MetricVector data_total{};
-  std::map<std::pair<u64, bool>, MetricVector> pc_map;
-  std::map<std::string, MetricVector> func_map;
-  std::map<std::string, MetricVector> incl_map;
-  std::map<std::pair<std::string, std::string>, MetricVector> edge_map;
-  std::map<u32, MetricVector> line_map;
-  std::map<std::pair<u8, u32>, MetricVector> data_map;
-  std::map<std::pair<u32, u32>, MetricVector> member_map;
-  std::vector<EaSample> ea_samples;
-};
-
-void baseline_attribute_code(BaselineState& st, const sym::SymbolTable& symtab, u64 pc,
-                             bool artificial, size_t metric, double w,
-                             const experiment::CallstackRef& callstack) {
-  add_to(st.pc_map[{pc, artificial}], metric, w);
-  const sym::FuncInfo* f = symtab.find_function(pc);
-  const std::string leaf = f ? f->name : "<unknown code>";
-  add_to(st.func_map[leaf], metric, w);
-  if (auto line = symtab.line_for(pc)) add_to(st.line_map[*line], metric, w);
-
-  std::vector<std::string> frames;
-  frames.reserve(callstack.size() + 1);
-  for (u64 site : callstack) {
-    const sym::FuncInfo* cf = symtab.find_function(site);
-    frames.push_back(cf ? cf->name : "<unknown code>");
-  }
-  frames.push_back(leaf);
-  std::vector<const std::string*> seen;
-  for (const auto& name : frames) {
-    bool dup = false;
-    for (const auto* s : seen) dup |= *s == name;
-    if (!dup) {
-      add_to(st.incl_map[name], metric, w);
-      seen.push_back(&name);
-    }
-  }
-  for (size_t i = 0; i + 1 < frames.size(); ++i) {
-    add_to(st.edge_map[{frames[i], frames[i + 1]}], metric, w);
-  }
-}
-
-void baseline_fold_event(BaselineState& bs, const FoldContext& ctx, size_t i) {
-  const EventStore& ev = *ctx.events;
-  const sym::SymbolTable& st = *ctx.symtab;
-  const experiment::EventView e = ev[i];
-  const double w = static_cast<double>(e.weight);
-
-  if (e.pic == machine::kClockPic) {
-    bs.present[kUserCpuMetric] = true;
-    add_to(bs.total, kUserCpuMetric, w);
-    baseline_attribute_code(bs, st, e.delivered_pc, false, kUserCpuMetric, w, e.callstack);
-    return;
-  }
-
-  const auto metric = static_cast<size_t>(e.event);
-  bs.present[metric] = true;
-  add_to(bs.total, metric, w);
-
-  const bool backtracked =
-      e.pic < machine::kNumPics && ctx.backtrack_by_event[static_cast<size_t>(e.event)];
-  auto data_bucket = [&](u8 cat, u32 sid) {
-    add_to(bs.data_map[{cat, sid}], metric, w);
-    add_to(bs.data_total, metric, w);
-  };
-
-  if (!backtracked || !e.has_candidate) {
-    baseline_attribute_code(bs, st, e.delivered_pc, false, metric, w, e.callstack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-  if (!st.has_branch_targets()) {
-    baseline_attribute_code(bs, st, e.candidate_pc, false, metric, w, e.callstack);
-    data_bucket(kCatUnverifiable, sym::kInvalidType);
-    return;
-  }
-  if (auto target = st.branch_target_in(e.candidate_pc, e.delivered_pc)) {
-    baseline_attribute_code(bs, st, *target, true, metric, w, e.callstack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-  baseline_attribute_code(bs, st, e.candidate_pc, false, metric, w, e.callstack);
-  if (!st.hwcprof()) {
-    data_bucket(kCatUnascertainable, sym::kInvalidType);
-    return;
-  }
-  const sym::MemRef* ref = st.memref_for(e.candidate_pc);
-  if (!ref) {
-    data_bucket(kCatUnspecified, sym::kInvalidType);
-    return;
-  }
-  switch (ref->kind) {
-    case sym::MemRef::Kind::Unidentified:
-      data_bucket(kCatUnidentified, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::Scalar:
-      data_bucket(kCatScalars, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::StructMember:
-      data_bucket(kCatStruct, ref->aggregate);
-      add_to(bs.member_map[{ref->aggregate, ref->member}], metric, w);
-      break;
-  }
-  if (e.has_ea) bs.ea_samples.push_back({e.ea, metric, w});
-}
-
-MetricCounts counts_of(const MetricVector& v) {
-  MetricCounts c{};
-  for (size_t m = 0; m < kNumMetrics; ++m) c[m] = static_cast<u64>(v[m]);
-  return c;
-}
-
-ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknown_id) {
-  BaselineState bs;
-  size_t n = 0;
-  for (const auto& ctx : ctxs) {
-    n += ctx.events->size();
-    for (size_t i = 0; i < ctx.events->size(); ++i) baseline_fold_event(bs, ctx, i);
-  }
-
-  // Convert the string-keyed maps into the packed-key result form.
-  const sym::SymbolTable& st = *ctxs[0].symtab;
-  auto id_of = [&](const std::string& name) -> u32 {
-    for (size_t f = 0; f < st.functions().size(); ++f) {
-      if (st.functions()[f].name == name) return static_cast<u32>(f);
-    }
-    return unknown_id;
-  };
-
-  ReductionResult r;
-  r.events_reduced = n;
-  r.present = bs.present;
-  r.total = counts_of(bs.total);
-  r.data_total = counts_of(bs.data_total);
-  for (const auto& [k, v] : bs.pc_map) r.pc[pc_key(k.first, k.second)] = counts_of(v);
-  for (const auto& [k, v] : bs.func_map) r.func[id_of(k)] = counts_of(v);
-  for (const auto& [k, v] : bs.incl_map) r.incl[id_of(k)] = counts_of(v);
-  for (const auto& [k, v] : bs.edge_map) {
-    r.edge[edge_key(id_of(k.first), id_of(k.second))] = counts_of(v);
-  }
-  for (const auto& [k, v] : bs.line_map) r.line[k] = counts_of(v);
-  for (const auto& [k, v] : bs.data_map) r.data[data_key(k.first, k.second)] = counts_of(v);
-  for (const auto& [k, v] : bs.member_map) {
-    r.member[member_key(k.first, k.second)] = counts_of(v);
-  }
-  r.ea_samples = std::move(bs.ea_samples);
-  return r;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Radix engine: batch-level radix partitioning by aggregation key.
+// The radix fold: batch-level radix partitioning by aggregation key.
 //
-// The hash engine pays, per event, a find_function per callstack frame, a
-// line lookup, candidate validation against the branch-target table and half
-// a dozen hash-map probes. Almost all of that work is a pure function of a
+// A per-event fold pays a find_function per callstack frame, a line lookup,
+// candidate validation against the branch-target table and half a dozen
+// hash-map probes. Almost all of that work is a pure function of a
 // small tuple that repeats enormously: the *decision* tuple
 // (candidate_pc, delivered_pc, pic/event/flags) — a hot loop delivers
 // thousands of events with identical tuples — and the *path* tuple
@@ -476,8 +105,8 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
 // (decision ⊗ callstack) entries that carry their own accumulators, so the
 // steady-state per-event cost is one cache line plus the column loads.
 // Everything accumulated is a u64 sum, so the result is bit-identical to
-// the hash and baseline engines for any batching, shard count, or thread
-// count.
+// a per-event fold (the std::map oracle in tests/reduce_oracle.cpp) for any
+// batching, shard count, or thread count.
 
 class RadixFolder {
  public:
@@ -512,7 +141,7 @@ class RadixFolder {
     u64 cand = 0;
     u64 del = 0;
     u32 meta = 0;  // pic | event << 8 | flags << 16
-    // Precomputed attribution (fold_event's answers for this tuple).
+    // Precomputed attribution (classify's answers for this tuple).
     u64 pc_key = 0;
     u64 data_key = 0;
     u64 member_key = 0;
@@ -585,9 +214,10 @@ class RadixFolder {
     }
   }
 
-  /// The slow path: run the full §2.3 attribution pipeline for one tuple.
-  /// Mirrors fold_event branch for branch; the dense fold then replays the
-  /// cached answers for every event sharing the tuple.
+  /// The slow path: run the full §2.3 attribution pipeline for one tuple
+  /// (candidate validation against branch targets, then the <Unknown>
+  /// breakdown of §3.2.5); the dense fold then replays the cached answers
+  /// for every event sharing the tuple.
   u32 classify(u64 cand, u64 del, u32 meta) {
     Decision d;
     d.cand = cand;
@@ -651,8 +281,8 @@ class RadixFolder {
               d.has_member = true;
               break;
           }
-          d.emit_ea = has_ea;  // fold_event pushes the EA sample only when
-                               // hwcprof data and a memref are present
+          d.emit_ea = has_ea;  // an EA sample is kept only when hwcprof
+                               // data and a memref are present
         }
       }
     }
@@ -933,12 +563,6 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
     }
   }
 
-  // Fold-shape introspection for perf work: cache populations per call.
-  static const bool debug = std::getenv("DSPROF_RADIX_DEBUG") != nullptr;
-  if (debug) {
-    std::fprintf(stderr, "radix: events=%zu fats=%zu decs=%zu paths=%zu\n", end - begin,
-                 fats_.size(), decs_.size(), paths_.size());
-  }
   flush(r);
   oc.clock += outcome_counts_[kOutClock];
   oc.validated += outcome_counts_[kOutValidated];
@@ -948,139 +572,68 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
   outcome_counts_ = {};
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// Reduction::run — the offline driver: shard layout, folds, merge.
 
-/// The radix-engine shard driver: same shard geometry and obs spans as
-/// reduce_sharded, with a RadixFolder per shard rebound at experiment
-/// boundaries (decisions depend on the experiment's symbols and backtrack
-/// flags).
-ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_id,
-                             unsigned threads) {
-  std::vector<size_t> prefix{0};
-  for (const auto& c : ctxs) prefix.push_back(prefix.back() + c.events->size());
-  const size_t n = prefix.back();
-
-  const size_t min_shard = 4096;
-  size_t nshards = threads;
-  if (nshards > 1 && n / nshards < min_shard) nshards = std::max<size_t>(1, n / min_shard);
-
-  static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
-  static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
-
-  std::vector<Partial> partials(nshards);
-  auto work = [&](size_t s) {
-    Partial& p = partials[s];
-    const size_t lo = n * s / nshards;
-    const size_t hi = n * (s + 1) / nshards;
-    if (lo >= hi) return;
-    const obs::ScopedSpan span(kShardSpan);
-    const obs::ScopedTimer timer(kShardNs);
-    AttrOutcomes oc;
-    RadixFolder folder;
-    size_t e = 0;
-    while (prefix[e + 1] <= lo) ++e;
-    size_t g = lo;
-    while (g < hi) {
-      while (prefix[e + 1] <= g) ++e;
-      const size_t seg_end = std::min(hi, prefix[e + 1]);
-      folder.bind(ctxs[e].symtab, ctxs[e].backtrack_by_event, unknown_id);
-      folder.fold(p.r, *ctxs[e].events, g - prefix[e], seg_end - prefix[e], oc);
-      g = seg_end;
-    }
-    oc.flush(hi - lo);
-  };
-
-  if (nshards <= 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nshards);
-    for (size_t s = 0; s < nshards; ++s) pool.emplace_back(work, s);
-    for (auto& t : pool) t.join();
-  }
-
-  static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
-  const obs::ScopedTimer merge_timer(kMergeNs);
-  ReductionResult r;
-  r.events_reduced = n;
-  for (auto& p : partials) merge_partial(r, std::move(p));
-  return r;
-}
-
-/// Tally per-metric sample counts for events [begin, end) — clock samples
-/// under kUserCpuMetric, hardware samples under their event id. Engine-
-/// independent by construction (a straight column scan), so every engine
-/// and the incremental fold agree on ReductionResult::sample_counts.
-void count_samples_range(MetricCounts& counts, const experiment::EventStore& ev,
-                         size_t begin, size_t end) {
-  const auto pic = ev.pic_col();
-  const auto event = ev.event_col();
-  for (size_t i = begin; i < end; ++i) {
-    counts[pic[i] == machine::kClockPic ? kUserCpuMetric
-                                        : static_cast<size_t>(event[i])] += 1;
-  }
-}
-
-void count_samples(MetricCounts& counts, const std::vector<FoldContext>& ctxs) {
-  for (const auto& c : ctxs) count_samples_range(counts, *c.events, 0, c.events->size());
-}
-
-}  // namespace
-
-unsigned Reduction::resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("DSPROF_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    DSP_CHECK(end != env && *end == '\0' && v >= 1 && v <= 1024,
-              std::string("bad DSPROF_THREADS value: '") + env +
-                  "' (expected an integer in [1, 1024])");
-    return static_cast<unsigned>(v);
-  }
+unsigned Reduction::resolve_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-Reduction::Engine Reduction::resolve_engine(Engine requested) {
-  if (requested != Engine::Auto) return requested;
-  if (const char* env = std::getenv("DSPROF_REDUCE_ENGINE")) {
-    const std::string v(env);
-    if (v == "radix") return Engine::Radix;
-    if (v == "sharded") return Engine::Sharded;
-    if (v == "baseline") return Engine::Baseline;
-    fail("bad DSPROF_REDUCE_ENGINE value: '" + v +
-         "' (expected radix, sharded or baseline)");
-  }
-  return Engine::Radix;
-}
-
 ReductionResult Reduction::run(const std::vector<const Experiment*>& exps,
-                               const ReduceOptions& options) {
+                               const ReduceOptions& /*options*/) {
   DSP_CHECK(!exps.empty(), "no experiments to analyze");
-  std::vector<FoldContext> ctxs;
-  ctxs.reserve(exps.size());
-  for (const auto* ex : exps) ctxs.push_back(context_of(*ex));
-  const sym::SymbolTable& st = exps[0]->image.symtab;
-  const u32 unknown_id = static_cast<u32>(st.functions().size());
+  // Shard layout over the experiments' events concatenated in order:
+  // contiguous ranges, one per worker, at least kMinShardEvents each (don't
+  // spin threads for tiny stores).
+  constexpr size_t kMinShardEvents = 4096;
+  std::vector<size_t> prefix{0};
+  for (const auto* ex : exps) prefix.push_back(prefix.back() + ex->events.size());
+  const size_t n = prefix.back();
+  // Nothing to fold: an unfolded reducer still carries the func_names.
+  if (n == 0) return IncrementalReducer(exps[0]->image.symtab, exps[0]->counters).snapshot();
+  const size_t nshards = std::clamp<size_t>(n / kMinShardEvents, 1, resolve_threads());
 
-  ReductionResult r;
-  switch (resolve_engine(options.engine)) {
-    case Engine::Baseline:
-      r = reduce_baseline(ctxs, unknown_id);
-      break;
-    case Engine::Sharded:
-      r = reduce_sharded(ctxs, unknown_id, resolve_threads(options.threads));
-      break;
-    default:
-      r = reduce_radix(ctxs, unknown_id, resolve_threads(options.threads));
-      break;
+  // One reducer per (shard, experiment) segment: a reducer binds one
+  // experiment's symbols and backtrack flags.
+  std::vector<std::vector<IncrementalReducer>> segments(nshards);
+  std::vector<std::exception_ptr> failed(nshards);  // rethrown after the join
+  const auto fold_shard = [&](size_t s) {
+    try {
+      static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
+      static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
+      const obs::ScopedSpan span(kShardSpan);
+      const obs::ScopedTimer timer(kShardNs);
+      const size_t lo = n * s / nshards, hi = n * (s + 1) / nshards;
+      for (size_t e = 0; e < exps.size(); ++e) {
+        const size_t b = std::max(lo, prefix[e]), end = std::min(hi, prefix[e + 1]);
+        if (b >= end) continue;
+        const Experiment& ex = *exps[e];
+        segments[s].emplace_back(ex.image.symtab, ex.counters);
+        segments[s].back().fold(ex.events, b - prefix[e], end - prefix[e]);
+      }
+    } catch (...) {
+      failed[s] = std::current_exception();
+    }
+  };
+  if (nshards == 1) {
+    fold_shard(0);
+  } else {
+    std::vector<std::jthread> pool;  // joined on every exit path
+    pool.reserve(nshards);
+    for (size_t s = 0; s < nshards; ++s) pool.emplace_back(fold_shard, s);
+  }
+  for (const auto& e : failed) {
+    if (e) std::rethrow_exception(e);
   }
 
-  r.func_names.reserve(st.functions().size() + 1);
-  for (const auto& f : st.functions()) r.func_names.push_back(f.name);
-  r.func_names.push_back("<unknown code>");
-  count_samples(r.sample_counts, ctxs);
-  return r;
+  static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
+  const obs::ScopedTimer merge_timer(kMergeNs);
+  std::vector<const ReductionResult*> parts;
+  for (const auto& shard : segments) {
+    for (const auto& red : shard) parts.push_back(&red.result());
+  }
+  return merge_results(parts);
 }
 
 ReductionResult merge_results(const std::vector<const ReductionResult*>& parts) {
@@ -1114,11 +667,16 @@ ReductionResult merge_results(const std::vector<const ReductionResult*>& parts) 
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalReducer — the dsprofd online path.
+// IncrementalReducer — the fold behind Reduction::run, dsprofd sessions and
+// the fleet view.
 
 IncrementalReducer::IncrementalReducer(const sym::SymbolTable& symtab,
                                        const std::vector<experiment::CounterSpec>& counters)
     : symtab_(&symtab), folder_(std::make_unique<RadixFolder>()) {
+  // Backtracking is keyed by event, not by PIC register: a multiplexed run
+  // time-slices several counter sets onto the same registers, so a register
+  // number no longer identifies a counter spec (for a single always-live
+  // set the two keyings are equivalent — at most one spec per register).
   for (const auto& spec : counters) {
     backtrack_by_event_[static_cast<size_t>(spec.event)] = spec.backtrack;
   }
@@ -1126,8 +684,7 @@ IncrementalReducer::IncrementalReducer(const sym::SymbolTable& symtab,
   // One bind for the reducer's lifetime: the symbol table and backtrack
   // flags are fixed per session, so the decision cache warms across batches.
   folder_->bind(symtab_, backtrack_by_event_, unknown_id_);
-  // func_names exactly as Reduction::run fills them, so a snapshot
-  // ReductionResult is indistinguishable from an offline one.
+  // Function ids 0..N-1 in symbol-table order, then "<unknown code>".
   r_.func_names.reserve(symtab.functions().size() + 1);
   for (const auto& f : symtab.functions()) r_.func_names.push_back(f.name);
   r_.func_names.push_back("<unknown code>");

@@ -1,46 +1,31 @@
-// Sharded parallel metric reduction over columnar event stores.
+// Metric reduction over columnar event stores: one fold path for every view.
 //
 // The seed's Analysis constructor folded every event into half a dozen
 // std::maps (string keys, per-event frame-name vectors) — a serial,
-// allocation-heavy pass over 10^5-10^6 events. The Reduction engine replaces
-// it with a single-pass, shardable fold:
+// allocation-heavy pass over 10^5-10^6 events. Here every reduction, offline
+// or online, runs through the same two calls:
 //
-//   * events are partitioned into contiguous shards;
-//   * each shard reduces into thread-local partial aggregates built on flat
-//     hash maps keyed by small integer composites (function ids instead of
-//     strings, packed (pc,artificial) / (caller,callee) / (cat,sid) keys);
-//   * partials accumulate integer weights (u64) — integer addition is
-//     associative and commutative, so the merged result is bit-identical
-//     for ANY thread count (the seed summed the same integral weights in
-//     doubles, exactly representable below 2^53, so results also match the
-//     seed bit-for-bit);
-//   * partials merge pairwise into one ReductionResult; per-event EA samples
-//     concatenate in shard order, preserving the serial event order.
+//   * IncrementalReducer::fold — the radix fold (RadixFolder in
+//     reduction.cpp). Each batch of events is partitioned into dense
+//     decision ids (unique (candidate_pc, delivered_pc, pic/event/flags)
+//     tuples — symbol lookups and §2.3 candidate validation run once per
+//     unique tuple, not per event) and dense path ids (unique (callstack,
+//     leaf) pairs); a tight loop adds weights into dense arrays indexed by
+//     those ids, which expand into the hash-keyed ReductionResult once per
+//     fold call;
+//   * merge_results — integer (u64) sums per key, EA samples concatenated in
+//     part order.
 //
-// Thread count comes from the DSPROF_THREADS environment knob (default:
-// hardware concurrency; 1 = deterministic serial — which, by the argument
-// above, produces the same bits anyway).
-//
-// Three engines share the shard scaffolding and produce bit-identical
-// results (equivalence- and property-tested in tests/event_store_test.cpp):
-//
-//   Engine::Radix     the default. Per-event hash-map probes are replaced by
-//                     radix partitioning over the SoA columns: each batch of
-//                     events is first partitioned into dense decision ids
-//                     (unique (candidate_pc, delivered_pc, pic/event/flags)
-//                     tuples — symbol lookups and candidate validation run
-//                     once per unique tuple, not per event) and dense path
-//                     ids (unique (callstack, leaf) pairs), then a tight
-//                     accumulation loop adds weights into per-shard dense
-//                     arrays indexed by those ids. The id arrays expand into
-//                     the hash-keyed ReductionResult once per fold call.
-//   Engine::Sharded   the previous flat-hash fold (one probe per aggregate
-//                     per event), kept as the reference hash engine.
-//   Engine::Baseline  the seed's serial std::map/string fold verbatim — the
-//                     equivalence reference and benchmark baseline.
-//
-// Engine::Auto resolves DSPROF_REDUCE_ENGINE (radix | sharded | baseline),
-// defaulting to Radix.
+// Because every aggregate is an integer sum, folding [0,a), [a,b), ...,
+// [y,n) and merging is bit-identical to one fold over [0,n) for any split.
+// Reduction::run (offline er_print) splits the concatenated events of its
+// experiments into contiguous shards, one worker thread per shard, folds
+// each (shard, experiment) segment with its own IncrementalReducer, and
+// merges the segments in event order; dsprofd folds batches into one
+// reducer per session and the fleet view merges the sessions. er_print -J,
+// the dsprofd snapshot and the merged fleet view therefore render the same
+// bytes by construction. tests/reduce_oracle.cpp keeps the seed's std::map
+// fold as the equivalence oracle for the tests and the bench yardsticks.
 #pragma once
 
 #include <memory>
@@ -121,53 +106,43 @@ ReductionResult merge_results(const std::vector<const ReductionResult*>& parts);
 
 class Reduction {
  public:
-  enum class Engine {
-    Auto,      // DSPROF_REDUCE_ENGINE if set, else Radix
-    Radix,     // radix-partitioned dense fold (default production engine)
-    Sharded,   // flat-hash partial aggregates (reference hash engine)
-    Baseline,  // the seed's serial std::map fold (reference/benchmark)
-  };
+  /// One value only: the fold has a single implementation. Kept so that
+  /// dsbench can stamp its provenance line with the engine name.
+  enum class Engine { Radix };
 
-  /// Knobs for one reduction run. `threads` as in resolve_threads (the
-  /// Baseline engine is always serial).
-  struct ReduceOptions {
-    unsigned threads = 0;
-    Engine engine = Engine::Auto;
-  };
+  /// Reduction::run takes no settings; the struct is kept so existing
+  /// call sites (`run(exps, ReduceOptions{})`) still compile.
+  struct ReduceOptions {};
 
-  /// Resolve the thread count: `requested` if nonzero, else $DSPROF_THREADS,
-  /// else std::thread::hardware_concurrency() (min 1).
-  static unsigned resolve_threads(unsigned requested = 0);
+  /// The worker count Reduction::run uses:
+  /// std::thread::hardware_concurrency(), at least 1.
+  static unsigned resolve_threads();
 
-  /// Resolve Engine::Auto against $DSPROF_REDUCE_ENGINE (radix | sharded |
-  /// baseline; anything else is an Error), defaulting to Radix. Non-Auto
-  /// engines pass through.
-  static Engine resolve_engine(Engine requested = Engine::Auto);
+  static Engine resolve_engine() { return Engine::Radix; }
 
-  /// Reduce all events of `exps` (which must share one binary).
+  /// Reduce all events of `exps` (which must share one binary): contiguous
+  /// shards of at least 4096 events, at most one per worker, each (shard,
+  /// experiment) segment folded by its own IncrementalReducer, then
+  /// merge_results over the segments in event order.
   static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
-                             const ReduceOptions& options);
-  static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
-                             unsigned threads = 0, Engine engine = Engine::Auto) {
-    return run(exps, ReduceOptions{threads, engine});
-  }
+                             const ReduceOptions& options = {});
 };
 
-/// The radix fold state shared by the offline Engine::Radix shards and the
-/// online IncrementalReducer (defined in reduction.cpp). Caches decisions
-/// (per unique event tuple) and paths (per unique callstack+leaf) so the
-/// per-event work is a few probes plus dense array adds.
+/// The radix fold state behind IncrementalReducer (defined in
+/// reduction.cpp). Caches decisions (per unique event tuple) and paths (per
+/// unique callstack+leaf) so the per-event work is a few probes plus dense
+/// array adds.
 class RadixFolder;
 
 /// Online incremental reduction: the dsprofd streaming path (src/serve/).
 ///
-/// Batches of events are folded into a live ReductionResult as they arrive,
-/// using the exact per-event attribution pipeline of Reduction::run. Because
-/// every aggregate accumulates integer weights (u64) — associative and
-/// commutative — the result after folding batches [0,a), [a,b), ... [y,n)
-/// is bit-identical to one offline reduction over [0,n) for any batching,
-/// and per-event EA samples concatenate in event order exactly as the
-/// offline shard merge does. That is the serve subsystem's
+/// Batches of events are folded into a live ReductionResult as they arrive.
+/// This is also the fold Reduction::run runs per (shard, experiment)
+/// segment. Because every aggregate accumulates integer weights (u64) —
+/// associative and commutative — the result after folding batches [0,a),
+/// [a,b), ... [y,n) is bit-identical to one offline reduction over [0,n)
+/// for any batching, and per-event EA samples concatenate in event order
+/// exactly as the offline segment merge does. That is the serve subsystem's
 /// online-vs-offline invariant (DESIGN.md §3.3); tests/serve_test.cpp and
 /// the streamed-session integration test enforce it end to end.
 ///
@@ -184,9 +159,8 @@ class IncrementalReducer {
   IncrementalReducer(IncrementalReducer&&) noexcept;
   IncrementalReducer& operator=(IncrementalReducer&&) noexcept;
 
-  /// Fold events [begin, end) of `events` into the live aggregates (via the
-  /// radix folder — bit-identical to every offline engine by construction).
-  /// The store must stay alive (and un-moved) only for the duration of the
+  /// Fold events [begin, end) of `events` into the live aggregates. The
+  /// store must stay alive (and un-moved) only for the duration of the
   /// call; each call re-derives callstack identities, so stores may come
   /// and go between calls (the dsprofd batch decode path).
   void fold(const experiment::EventStore& events, size_t begin, size_t end);

@@ -277,12 +277,11 @@ sa::BacktrackAnswer backtrack_dynamic(const sym::Image& image, u64 delivered_pc,
 }
 
 sa::BacktrackAnswer Collector::backtrack(const machine::OverflowDelivery& d) {
-  // Self-observability (src/obs/): per-engine query latency plus the
-  // clobber/unresolved outcome tallies the §2.2.3 search can produce.
+  // Self-observability (src/obs/): query latency plus the clobber/unresolved
+  // outcome tallies the §2.2.3 search can produce.
   // Overflows are orders of magnitude sparser than instructions, so timing
   // each query does not distort collection (bench/obs_overhead).
   static const obs::Histogram kTableNs = obs::histogram("collect.backtrack.table_ns");
-  static const obs::Histogram kDynamicNs = obs::histogram("collect.backtrack.dynamic_ns");
   static const obs::Counter kQueries = obs::counter("collect.backtrack.queries");
   static const obs::Counter kEaRecovered = obs::counter("collect.backtrack.ea_recovered");
   static const obs::Counter kEaClobbered = obs::counter("collect.backtrack.ea_clobbered");
@@ -291,12 +290,9 @@ sa::BacktrackAnswer Collector::backtrack(const machine::OverflowDelivery& d) {
   const TriggerKind kind = machine::hw_event_info(d.event).trigger;
   kQueries.add();
   sa::BacktrackAnswer r;
-  if (btable_ != nullptr) {
+  {
     const obs::ScopedTimer timer(kTableNs);
     r = btable_->query(d.delivered_pc, kind, d.regs);
-  } else {
-    const obs::ScopedTimer timer(kDynamicNs);
-    r = backtrack_dynamic(image_, d.delivered_pc, kind, d.regs, opt_.backtrack_window);
   }
   if (!r.found) {
     kUnresolved.add();
@@ -377,12 +373,12 @@ void Collector::export_pending(bool last) {
 
 experiment::Experiment Collector::run(const std::function<void(machine::Cpu&)>& setup) {
   // Hoist the per-event backtracking work into a one-time static analysis
-  // pass (BacktrackEngine::Table): the table answers every overflow with an
-  // O(1) lookup instead of the O(window) decode loop above.
+  // pass: the table answers every overflow with an O(1) lookup instead of
+  // the O(window) decode loop above (kept as the reference the table is
+  // tested against).
   bool want_backtrack = false;
   for (const auto& c : counters_) want_backtrack = want_backtrack || c.backtrack;
-  if (opt_.backtrack_engine == BacktrackEngine::Table && want_backtrack &&
-      btable_ == nullptr) {
+  if (want_backtrack && btable_ == nullptr) {
     static const obs::Histogram kBuildNs = obs::histogram("collect.backtrack.table_build_ns");
     const obs::ScopedTimer timer(kBuildNs);
     btable_ = std::make_unique<sa::BacktrackTable>(

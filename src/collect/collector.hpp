@@ -38,17 +38,6 @@ std::vector<experiment::CounterSpec> parse_counter_spec(const std::string& spec,
 /// Render the list of available counters (collect with no arguments).
 std::string list_counters();
 
-/// How the apropos backtracking answer is produced per overflow event.
-enum class BacktrackEngine : u8 {
-  /// Precomputed sa::BacktrackTable, built once per image: O(1) per event.
-  Table,
-  /// The original per-event decode loop (backtrack_dynamic): O(window) per
-  /// event. Kept as the executable reference — the table must match it
-  /// bit-for-bit (tests/sa_test.cpp, tests/scc_fuzz_test.cpp) and
-  /// bench/backtrack_table measures the gap.
-  Dynamic,
-};
-
 struct CollectOptions {
   /// -h: hardware counter spec; empty = no HW profiling.
   std::string hw = "";
@@ -58,7 +47,6 @@ struct CollectOptions {
   u64 max_instructions = 0;  // safety stop; 0 = run to exit
   /// Instructions to search when backtracking from the delivered PC.
   u32 backtrack_window = 16;
-  BacktrackEngine backtrack_engine = BacktrackEngine::Table;
 
   /// Counter-set multiplexing slice length in cycles: when -h names more
   /// counters than PIC registers, the collector partitions them into sets and
@@ -82,7 +70,11 @@ struct CollectOptions {
 /// the skidded delivered PC through at most `window` decoded instructions to
 /// the nearest memory op matching the trigger kind, then decide whether its
 /// effective address is still recomputable from the delivered register
-/// snapshot (no write to the address registers in between).
+/// snapshot (no write to the address registers in between). The Collector
+/// answers from the precomputed sa::BacktrackTable; this O(window) loop is
+/// the executable reference the table must match bit-for-bit
+/// (tests/sa_test.cpp, tests/scc_fuzz_test.cpp), and bench/backtrack_table
+/// measures the gap.
 ///
 /// Conservative annulled-delay-slot rule: the clobber scan treats *every*
 /// instruction in the skid gap as an executed register writer — including a
@@ -140,9 +132,8 @@ class Collector {
   std::vector<u64> residuals_;
   u64 slice_start_cycles_ = 0;
   u64 clock_interval_ = 0;
-  /// Precomputed backtracking answers (BacktrackEngine::Table). Built once
-  /// per Collector, lazily at run(), and only when some counter actually
-  /// requests backtracking.
+  /// Precomputed backtracking answers. Built once per Collector, lazily at
+  /// run(), and only when some counter actually requests backtracking.
   std::unique_ptr<sa::BacktrackTable> btable_;
 
   std::unique_ptr<mem::Memory> mem_;

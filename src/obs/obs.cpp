@@ -75,16 +75,30 @@ struct Registry {
   // value has no meaningful per-thread merge.
   std::array<std::atomic<i64>, kMaxGauges> gauge_values{};
 
-  // Shards are created on a thread's first instrumented call and never
-  // freed: a thread may exit, but its tallies must survive into later
-  // snapshots. The vector holds stable pointers (unique_ptr).
+  // A shard is created on a thread's first instrumented call. When the
+  // thread exits, its shard goes on the free list and the next thread that
+  // records takes it over, tallies and all: snapshots keep summing the
+  // exited thread's counts, and short-lived worker threads (one reduce's
+  // shards, two per dsprofd session) no longer grow the list. The vector
+  // holds stable pointers (unique_ptr).
   std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<Shard*> free_shards;
 
   Shard* acquire_shard() {
     std::lock_guard<std::mutex> lock(mu);
+    if (!free_shards.empty()) {
+      Shard* s = free_shards.back();
+      free_shards.pop_back();
+      return s;
+    }
     shards.push_back(std::make_unique<Shard>());
     shards.back()->tid = static_cast<u32>(shards.size());
     return shards.back().get();
+  }
+
+  void release_shard(Shard* s) {
+    std::lock_guard<std::mutex> lock(mu);
+    free_shards.push_back(s);
   }
 };
 
@@ -93,8 +107,22 @@ Registry& registry() {
   return *r;
 }
 
+/// A thread's claim on its shard; the destructor runs at thread exit.
+struct ShardLease {
+  Shard* s = registry().acquire_shard();
+  ~ShardLease() { registry().release_shard(s); }
+};
+
 Shard& shard() {
-  thread_local Shard* s = registry().acquire_shard();
+  // The plain pointer outlives the lease, so a probe from a later exit-time
+  // destructor on this thread still lands in a live shard; every slot is an
+  // atomic add or taken under span_mu, so sharing it with the next owner
+  // stays exact.
+  thread_local Shard* s = nullptr;
+  if (s == nullptr) [[unlikely]] {
+    thread_local ShardLease lease;
+    s = lease.s;
+  }
   return *s;
 }
 

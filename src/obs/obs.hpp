@@ -30,7 +30,9 @@
 //
 //   3. Bounded memory. Fixed-capacity metric tables and span rings; a
 //      full ring overwrites its oldest records and counts the loss
-//      (spans_dropped) rather than allocating or blocking.
+//      (spans_dropped) rather than allocating or blocking. A thread's
+//      shard is reused by a later thread once it exits, so the shard
+//      count follows the peak number of live recording threads.
 //
 // Handles are interned once (function-local statics at the use site) and
 // are trivially copyable; the hot path never touches the registry mutex.
@@ -142,8 +144,10 @@ struct HistogramSnapshot {
   u64 mean() const { return count == 0 ? 0 : sum / count; }
 };
 
-/// One completed span, timestamps from now_ns(). `tid` is the shard index
-/// (a stable small integer per thread), `name` indexes Snapshot::span_names.
+/// One completed span, timestamps from now_ns(). `tid` is the shard index:
+/// a small integer, stable while a thread lives; a thread started after
+/// another has exited may reuse that thread's shard and so its tid. `name`
+/// indexes Snapshot::span_names.
 struct SpanRecord {
   u32 name = 0;
   u32 tid = 0;

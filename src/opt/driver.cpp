@@ -97,9 +97,7 @@ LoopResult run_loop(const Workload& w, const DriverOptions& opt) {
   // 1. Profile the baseline build and plan from it.
   const sym::Image base = w.build(nullptr);
   const experiment::Experiment ex_before = profile(base, w.cpu_for(nullptr));
-  analyze::AnalysisOptions aopt;
-  aopt.threads = opt.threads;
-  analyze::Analysis a_before(ex_before, aopt);
+  analyze::Analysis a_before(ex_before);
   Planned planned = plan_for(a_before, opt, w.cpu.hierarchy.dtlb.entries);
   r.affinity = std::move(planned.affinity);
   r.plan = std::move(planned.plan);
@@ -108,7 +106,7 @@ LoopResult run_loop(const Workload& w, const DriverOptions& opt) {
   const sym::Image tuned = w.build(&r.plan);
   const machine::CpuConfig cpu_tuned = w.cpu_for(&r.plan);
   const experiment::Experiment ex_after = profile(tuned, cpu_tuned);
-  analyze::Analysis a_after(ex_after, aopt);
+  analyze::Analysis a_after(ex_after);
 
   // 3. Uninstrumented end-to-end cycle comparison.
   r.baseline_cycles = measure(base, w.cpu_for(nullptr));

@@ -29,8 +29,6 @@ struct DriverOptions {
   /// Counter spec override for the profiling runs; empty keeps the
   /// workload's default. More than two counters multiplex (er_opt --hw).
   std::string hw;
-  /// Reduction threads (AnalysisOptions::threads); 0 = $DSPROF_THREADS.
-  unsigned threads = 0;
   double min_struct_share = 0.05;
   size_t top_lines = 10;
   /// Build the static loop/stride cross-check (sa::LoopAnalysis) for the

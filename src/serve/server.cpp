@@ -269,7 +269,7 @@ void Server::reader_main(Session& s) {
         // fold finishes and fold order is preserved. The before_reduce test
         // seam forces the queued path — overload tests rely on stalling the
         // reducer thread while the reader keeps enqueuing.
-        if (opt_.direct_fold && !opt_.before_reduce && s.queue.empty() && !s.reducing) {
+        if (!opt_.before_reduce && s.queue.empty() && !s.reducing) {
           s.events_in += n;
           s.batches_in += 1;
           s.reducing = true;

@@ -14,13 +14,12 @@
 //            central invariant; tests/serve_test.cpp proves it property-
 //            style, tests/integration_test.cpp on the MCF workload).
 //
-// Queue-free fast path: when `direct_fold` is on (the default) and the
-// reducer keeps up — queue empty, reducer idle, no before_reduce seam
-// installed — the reader folds a decoded batch inline instead of paying the
-// enqueue/wake/dequeue hop. The `reducing` flag is held while it folds, so
-// the reducer thread, drain barrier and accounting are untouched; under
-// backlog the batch takes the queued path with the exact same overload and
-// drop accounting as before. Folds are still strictly ordered (one fold at
+// Queue-free fast path: when the reducer keeps up — queue empty, reducer
+// idle, no before_reduce seam installed — the reader folds a decoded batch
+// inline instead of paying the enqueue/wake/dequeue hop. The `reducing`
+// flag is held while it folds, so the reducer thread, drain barrier and
+// accounting are untouched; under backlog the batch takes the queued path
+// with the exact same overload and drop accounting. Folds are still strictly ordered (one fold at
 // a time per session), so aggregates remain bit-identical either way.
 //
 // Overload: the batch queue holds at most `max_queued_batches`. When the
@@ -83,13 +82,10 @@ struct ServerOptions {
   /// Reject event batches larger than this many events (0 = no cap).
   size_t max_batch_events = 0;
 
-  /// Fold batches inline in the reader thread when the reducer is idle and
-  /// the queue is empty (see the header comment). Off forces every batch
-  /// through the bounded queue — the pre-fast-path behavior.
-  bool direct_fold = true;
-
   /// Test seam: called by the reducer thread before each fold. Stalling
   /// here makes the queue overflow deterministically (overload tests).
+  /// Installing it also sends every batch through the queue (the reader
+  /// never folds inline), so tests can compare the two paths.
   std::function<void(u64 session_id)> before_reduce;
 
   /// Completed sessions retained for the merged fleet view. Beyond the cap

@@ -6,6 +6,7 @@
 
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -184,7 +185,8 @@ TEST_F(CallGraph, RendererShowsBothDirections) {
 }
 
 TEST_F(CallGraph, CallstacksSurviveSaveLoad) {
-  const std::string dir = ::testing::TempDir() + "/dsp_callstack_exp";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir);
   const experiment::Experiment back = experiment::Experiment::load(dir);
   ASSERT_EQ(back.events.size(), ex_->events.size());

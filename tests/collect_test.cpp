@@ -5,6 +5,7 @@
 #include "dsl_fixtures.hpp"
 #include "mcfsim/experiments.hpp"
 #include "mcfsim/mcfsim.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof::collect {
 namespace {
@@ -306,7 +307,8 @@ TEST_F(CollectorEndToEnd, SampledTotalsEstimateTrueCounts) {
 
 TEST_F(CollectorEndToEnd, ExperimentSaveLoadRoundTrip) {
   auto ex = testfix::quick_collect(*image_, "+dcrm,997", "on");
-  const std::string dir = ::testing::TempDir() + "/dsp_experiment_test";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex.save(dir);
   const experiment::Experiment back = experiment::Experiment::load(dir);
   EXPECT_EQ(back.events.size(), ex.events.size());

@@ -1,8 +1,8 @@
 // Columnar EventStore: callstack-arena interning, save/load round trips in
-// all three on-disk layouts (including the zero-copy mmap'd DSPG path),
-// and bit-identical determinism of the reduction engines — radix, sharded,
-// and the seed-equivalent Baseline — across thread counts, random stores,
-// and the mapped-vs-streamed loaders.
+// all three on-disk layouts (including the zero-copy mmap'd DSPG path), and
+// bit-identity of the product reduction against the seed-equivalent
+// std::map oracle (tests/reduce_oracle.hpp) on collected and random stores
+// and across the mapped-vs-streamed loaders.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,9 +12,11 @@
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
 #include "experiment/experiment.hpp"
+#include "reduce_oracle.hpp"
 #include "scc/compile.hpp"
 #include "support/bytestream.hpp"
 #include "support/mmap_file.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof::experiment {
 namespace {
@@ -272,7 +274,8 @@ class ExperimentCorruption : public ::testing::Test {
   /// throw an Error whose message names the file and the directory.
   static void expect_corrupt(const Experiment& ex, FileFormat fmt, const char* file,
                              const std::function<void(std::vector<u8>&)>& mutate) {
-    const std::string dir = "/tmp/dsp_corrupt_exp";
+    const testfix::ScopedTempDir tmp;
+    const std::string dir = tmp.path("exp");
     ex.save(dir, fmt);
     std::vector<u8> bytes = read_file(dir + "/" + file);
     mutate(bytes);
@@ -344,8 +347,9 @@ TEST_F(ExperimentCorruption, CorruptLoadobjectsIsRejectedWithContext) {
 
 TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
   const Experiment ex = tiny_experiment();
+  const testfix::ScopedTempDir tmp;
   for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
-    const std::string dir = "/tmp/dsp_corrupt_rt";
+    const std::string dir = tmp.path("exp");
     ex.save(dir, fmt);
     const Experiment back = Experiment::load(dir);
     ASSERT_EQ(back.events.size(), ex.events.size());
@@ -434,9 +438,10 @@ TEST_F(AlignedCorruption, CorruptLoadobjectsIsRejectedWithContext) {
 
 TEST_F(AlignedCorruption, AlignedFormatStillRoundTripsAfterHardening) {
   const Experiment ex = tiny_experiment();
+  const testfix::ScopedTempDir tmp;
   for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
     const ScopedMmapEnv env(mm);
-    const std::string dir = "/tmp/dsp_corrupt_rt_aligned";
+    const std::string dir = tmp.path("exp");
     ex.save(dir, FileFormat::ColumnarAligned);
     const Experiment back = Experiment::load(dir);
     ASSERT_EQ(back.events.size(), ex.events.size());
@@ -462,7 +467,8 @@ void put_aligned_col(ByteWriter& w, const std::vector<T>& col) {
 void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns) {
   ByteWriter w;
   write_columns(w);
-  const std::string path = "/tmp/dsp_mapped_hostile.bin";
+  const testfix::ScopedTempDir tmp;
+  const std::string path = tmp.path("events.bin");
   write_file(path, w.bytes());
   const auto mf = MappedFile::open(path);
   ByteReader r(mf->data(), mf->size());
@@ -568,7 +574,8 @@ u32 events_magic(const std::string& dir) {
 }
 
 TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
-  const std::string dir = "/tmp/dsp_store_rt_columnar";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir, FileFormat::Columnar);
   EXPECT_EQ(events_magic(dir), 0x44535046u);  // 'DSPF'
   const Experiment back = Experiment::load(dir);
@@ -587,14 +594,16 @@ TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
 TEST_F(StoreRoundTrip, LegacyFormatRoundTripsAndAgreesWithColumnar) {
   // The seed's row-oriented layout must load into the same events (and the
   // loader re-interns, so dedup statistics match the in-memory store).
-  const std::string dir = "/tmp/dsp_store_rt_legacy";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("legacy");
   ex_->save(dir, FileFormat::Legacy);
   EXPECT_EQ(events_magic(dir), 0x44535045u);  // 'DSPE'
   const Experiment back = Experiment::load(dir);
   expect_same_events(*ex_, back);
   EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
   // Both layouts feed the analyzer identically.
-  const Experiment col = Experiment::load("/tmp/dsp_store_rt_columnar");
+  ex_->save(tmp.path("columnar"), FileFormat::Columnar);
+  const Experiment col = Experiment::load(tmp.path("columnar"));
   analyze::Analysis al(back), ac(col);
   EXPECT_EQ(analyze::render_overview(al), analyze::render_overview(ac));
   EXPECT_EQ(analyze::render_data_objects(al, analyze::kUserCpuMetric),
@@ -622,39 +631,23 @@ std::string all_views(analyze::Analysis& a) {
   return s;
 }
 
-TEST_F(StoreRoundTrip, ShardedReductionIsThreadCountInvariant) {
-  analyze::AnalysisOptions serial;
-  serial.threads = 1;
-  analyze::Analysis a1(*ex_, serial);
-  const std::string serial_views = all_views(a1);
-  for (unsigned t : {2u, 3u, 8u}) {
-    analyze::AnalysisOptions opt;
-    opt.threads = t;
-    analyze::Analysis at(*ex_, opt);
-    EXPECT_EQ(all_views(at), serial_views) << "threads=" << t;
-    EXPECT_EQ(at.total(), a1.total()) << "threads=" << t;
-    EXPECT_EQ(at.data_total(), a1.data_total()) << "threads=" << t;
-  }
-}
-
 TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
-  analyze::AnalysisOptions base;
-  base.engine = analyze::Reduction::Engine::Baseline;
-  analyze::Analysis ab(*ex_, base);
-  analyze::AnalysisOptions shard;
-  shard.threads = 4;
-  shard.engine = analyze::Reduction::Engine::Sharded;
-  analyze::Analysis as(*ex_, shard);
+  // Reduction::run (per-shard IncrementalReducer folds + merge_results)
+  // against the seed's serial std::map fold.
+  analyze::Analysis ab(*ex_, oracle::reduce({ex_}));
+  analyze::Analysis as(*ex_);
   EXPECT_EQ(all_views(ab), all_views(as));
   EXPECT_EQ(ab.total(), as.total());
   EXPECT_EQ(ab.data_total(), as.data_total());
   EXPECT_EQ(ab.reduce().events_reduced, as.reduce().events_reduced);
+  EXPECT_EQ(ab.reduce().sample_counts, as.reduce().sample_counts);
 }
 
 // --- zero-copy aligned layout + mmap loading ---------------------------------
 
 TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir);  // default format
   EXPECT_EQ(events_magic(dir), 0x44535047u);  // 'DSPG'
   const Experiment back = Experiment::load(dir);
@@ -667,7 +660,8 @@ TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
 }
 
 TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned_eq";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir, FileFormat::ColumnarAligned);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
@@ -687,7 +681,8 @@ TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
 }
 
 TEST_F(StoreRoundTrip, MappedStoreIsFrozenAndRefusesAppend) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned_frozen";
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir, FileFormat::ColumnarAligned);
   Experiment back = Experiment::load(dir);
   ASSERT_TRUE(back.events.is_frozen());
@@ -730,68 +725,30 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
   }
 }
 
-// --- radix engine equivalence ------------------------------------------------
-
-TEST_F(StoreRoundTrip, RadixMatchesBaselineAndShardedForAnyThreadCount) {
-  analyze::AnalysisOptions base;
-  base.engine = analyze::Reduction::Engine::Baseline;
-  analyze::Analysis ab(*ex_, base);
-  const std::string base_views = all_views(ab);
-  for (unsigned t : {1u, 2u, 3u, 8u}) {
-    analyze::AnalysisOptions opt;
-    opt.engine = analyze::Reduction::Engine::Radix;
-    opt.threads = t;
-    analyze::Analysis ar(*ex_, opt);
-    EXPECT_EQ(all_views(ar), base_views) << "threads=" << t;
-    EXPECT_EQ(ar.total(), ab.total()) << "threads=" << t;
-    EXPECT_EQ(ar.data_total(), ab.data_total()) << "threads=" << t;
-    EXPECT_EQ(ar.reduce().events_reduced, ab.reduce().events_reduced);
-  }
-}
+// --- oracle equivalence -----------------------------------------------------
 
 TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
   // The fast path end to end: a DSPG experiment loaded through mmap views,
-  // reduced by the radix engine, must render exactly what the owning store
-  // and the baseline engine produce.
-  const std::string dir = "/tmp/dsp_store_rt_aligned_radix";
+  // reduced by the radix fold, must render exactly what the oracle produces
+  // over the owning store.
+  const testfix::ScopedTempDir tmp;
+  const std::string dir = tmp.path("exp");
   ex_->save(dir, FileFormat::ColumnarAligned);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
-  analyze::AnalysisOptions radix;
-  radix.engine = analyze::Reduction::Engine::Radix;
-  analyze::AnalysisOptions base;
-  base.engine = analyze::Reduction::Engine::Baseline;
-  analyze::Analysis ar(mapped, radix), ab(*ex_, base);
+  analyze::Analysis ar(mapped), ab(*ex_, oracle::reduce({ex_}));
   EXPECT_EQ(all_views(ar), all_views(ab));
 }
 
-TEST(ReduceEngineEnv, ResolveEngineHonorsOverride) {
-  const auto with_env = [](const char* v, analyze::Reduction::Engine want) {
-    setenv("DSPROF_REDUCE_ENGINE", v, 1);
-    EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto), want)
-        << v;
-    unsetenv("DSPROF_REDUCE_ENGINE");
-  };
-  with_env("radix", analyze::Reduction::Engine::Radix);
-  with_env("sharded", analyze::Reduction::Engine::Sharded);
-  with_env("baseline", analyze::Reduction::Engine::Baseline);
-  // Unset: Auto resolves to the radix default; explicit engines pass through.
-  EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto),
-            analyze::Reduction::Engine::Radix);
-  EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Baseline),
-            analyze::Reduction::Engine::Baseline);
-  setenv("DSPROF_REDUCE_ENGINE", "bogus", 1);
-  EXPECT_THROW(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto), Error);
-  unsetenv("DSPROF_REDUCE_ENGINE");
-}
-
-// --- engine equivalence as a property over random stores ---------------------
+// --- oracle equivalence as a property over random stores ---------------------
 
 TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
   // Fuzz the fold inputs, not just one collected workload: random events
   // (valid and wild PCs, random flags/EAs, stacks drawn from a small pool
-  // so interning kicks in), reduced by all three engines at several thread
-  // counts — every rendered view must be byte-identical.
+  // so interning kicks in), reduced by Reduction::run and in the shard
+  // layout it uses with 1 and 3 workers (contiguous segments, one reducer
+  // each, merged in order) — every rendered view must be byte-identical to
+  // the std::map oracle's.
   std::mt19937_64 rng(0xC0FFEE);
   const u64 text_lo = 0x1000, text_hi = 0x1000 + 8 * 1024;
   const auto rand_pc = [&]() -> u64 {
@@ -826,20 +783,23 @@ TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
                        has_ea, rng() % (1u << 30), stack.data(), stack.size(), i);
     }
 
-    std::string want;
-    for (const auto engine :
-         {analyze::Reduction::Engine::Baseline, analyze::Reduction::Engine::Sharded,
-          analyze::Reduction::Engine::Radix}) {
-      for (const unsigned threads : {1u, 3u}) {
-        analyze::AnalysisOptions opt;
-        opt.engine = engine;
-        opt.threads = threads;
-        analyze::Analysis a(ex, opt);
-        const std::string got = analyze::render_json_report(a);
-        if (want.empty()) want = got;
-        EXPECT_EQ(got, want) << "round " << round << " engine "
-                             << static_cast<int>(engine) << " threads " << threads;
+    const std::string want =
+        analyze::render_json_report(analyze::Analysis(ex, oracle::reduce({&ex})));
+    EXPECT_EQ(analyze::render_json_report(analyze::Analysis(ex)), want) << "round " << round;
+
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      std::vector<analyze::IncrementalReducer> shards;
+      std::vector<const analyze::ReductionResult*> parts;
+      shards.reserve(threads);
+      for (size_t s = 0; s < threads; ++s) {
+        shards.emplace_back(ex.image.symtab, ex.counters);
+        shards.back().fold(ex.events, n * s / threads, n * (s + 1) / threads);
+        parts.push_back(&shards.back().result());
       }
+      EXPECT_EQ(
+          analyze::render_json_report(analyze::Analysis(ex, analyze::merge_results(parts))),
+          want)
+          << "round " << round << " threads " << threads;
     }
   }
 }

@@ -10,9 +10,11 @@
 
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
+#include "reduce_oracle.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -242,16 +244,10 @@ TEST_F(MultiplexCollect, ReportsAnnotateScalesOnlyWhenMultiplexed) {
 }
 
 TEST_F(MultiplexCollect, ReductionEnginesAgreeOnMultiplexedProfiles) {
+  // The product fold against the std::map oracle on a multiplexed profile.
   const auto ex = collect_mpx().ex;
-  analyze::AnalysisOptions radix, sharded, baseline;
-  radix.engine = analyze::Reduction::Engine::Radix;
-  sharded.engine = analyze::Reduction::Engine::Sharded;
-  baseline.engine = analyze::Reduction::Engine::Baseline;
-  const std::string r = analyze::render_json_report(analyze::Analysis(ex, radix));
-  const std::string s = analyze::render_json_report(analyze::Analysis(ex, sharded));
-  const std::string b = analyze::render_json_report(analyze::Analysis(ex, baseline));
-  EXPECT_EQ(r, s);
-  EXPECT_EQ(r, b);
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(ex)),
+            analyze::render_json_report(analyze::Analysis(ex, oracle::reduce({&ex}))));
 }
 
 // --- slice-aware file formats -----------------------------------------------
@@ -275,9 +271,9 @@ TEST_F(MultiplexCollect, SaveLoadRoundTripsSlicesInEveryFormat) {
       {experiment::FileFormat::Columnar, 0x44535049},         // "DSPI"
       {experiment::FileFormat::Legacy, 0x44535048},           // "DSPH"
   };
+  const testfix::ScopedTempDir tmp;
   for (const auto& c : cases) {
-    const std::string dir = ::testing::TempDir() + "/dsp_mpx_fmt_" +
-                            std::to_string(static_cast<int>(c.format));
+    const std::string dir = tmp.path("fmt_" + std::to_string(static_cast<int>(c.format)));
     ex.save(dir, c.format);
     EXPECT_EQ(events_magic(dir), c.magic);
     const auto back = experiment::Experiment::load(dir);
@@ -315,9 +311,9 @@ TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
       {experiment::FileFormat::Legacy, 0x44535045},           // "DSPE"
   };
   const std::string ref = analyze::render_json_report(analyze::Analysis(ex));
+  const testfix::ScopedTempDir tmp;
   for (const auto& c : cases) {
-    const std::string dir = ::testing::TempDir() + "/dsp_nonmpx_fmt_" +
-                            std::to_string(static_cast<int>(c.format));
+    const std::string dir = tmp.path("fmt_" + std::to_string(static_cast<int>(c.format)));
     ex.save(dir, c.format);
     EXPECT_EQ(events_magic(dir), c.magic);
     const auto back = experiment::Experiment::load(dir);
@@ -329,7 +325,8 @@ TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
 
 TEST_F(MultiplexCollect, CorruptSliceTablesFailWithStructuredErrors) {
   auto ex = collect_mpx().ex;
-  const std::string base = ::testing::TempDir() + "/dsp_mpx_corrupt";
+  const testfix::ScopedTempDir tmp;
+  const std::string base = tmp.path("exp");
 
   // A counter pointing past the slice table.
   {
@@ -449,8 +446,8 @@ TEST_F(MultiplexCollect, MixedMultiplexedAndPlainDirsMergeExactly) {
   const std::vector<const experiment::Experiment*> both = {&run.ex, &plain};
   const std::string offline = analyze::render_json_report(analyze::Analysis(both));
 
-  const analyze::ReductionResult a = analyze::Reduction::run({&run.ex}, 1);
-  const analyze::ReductionResult b = analyze::Reduction::run({&plain}, 1);
+  const analyze::ReductionResult a = analyze::Reduction::run({&run.ex});
+  const analyze::ReductionResult b = analyze::Reduction::run({&plain});
   analyze::ReductionResult merged = analyze::merge_results({&a, &b});
   analyze::Analysis m(both, std::move(merged));
   EXPECT_EQ(analyze::render_json_report(m), offline);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +110,32 @@ TEST_F(ObsTest, ShardMergeIsDeterministicAcrossThreads) {
     const u64 n = kThreads * kPerThread;
     EXPECT_EQ(hs->sum, n * (n - 1) / 2);
   }
+}
+
+TEST_F(ObsTest, ExitedThreadShardsAreReused) {
+  // Joined short-lived threads hand their shard on to the next thread that
+  // records: every tally survives into the snapshot, and all their spans
+  // carry the one reused shard's tid.
+  const int kThreads = 16;
+  const obs::Counter c = obs::counter("test.reuse.counter");
+  const obs::SpanName name = obs::span_name("test.reuse.span");
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&] {
+      c.add();
+      const obs::ScopedSpan span(name);
+    }).join();
+  }
+  EXPECT_EQ(obs::snapshot().counter_value("test.reuse.counter"), u64{kThreads});
+  std::vector<std::string> names;
+  std::set<u32> tids;
+  size_t spans = 0;
+  for (const obs::SpanRecord& r : obs::span_records(&names)) {
+    if (names[r.name] != "test.reuse.span") continue;
+    spans += 1;
+    tids.insert(r.tid);
+  }
+  EXPECT_EQ(spans, size_t{kThreads});
+  EXPECT_EQ(tids.size(), 1u);
 }
 
 TEST_F(ObsTest, SnapshotIsStableWithoutActivity) {

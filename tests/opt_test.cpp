@@ -280,20 +280,6 @@ TEST_F(ChurnLoop, PlannerReproducesHandTunedLayout) {
   EXPECT_FALSE(d->prefetch);
 }
 
-TEST_F(ChurnLoop, PlanDeterministicAcrossThreadCounts) {
-  analyze::AnalysisOptions one;
-  one.threads = 1;
-  analyze::AnalysisOptions four;
-  four.threads = 4;
-  analyze::Analysis a1(*ex_, one);
-  analyze::Analysis a4(*ex_, four);
-  const Planned p1 = plan_for(a1);
-  const Planned p4 = plan_for(a4);
-  EXPECT_EQ(p1.plan, p4.plan);
-  EXPECT_EQ(plan_to_text(p1.plan), plan_to_text(p4.plan));
-  EXPECT_EQ(plan_to_json(p1.plan), plan_to_json(p4.plan));
-}
-
 TEST(ClosedLoop, ChurnMatchesHandTunedWithinTwoPercent) {
   const Workload w = make_churn_workload();
   DriverOptions opt;

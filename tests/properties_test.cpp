@@ -8,7 +8,9 @@
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
 #include "mcfsim/mcfsim.hpp"
+#include "reduce_oracle.hpp"
 #include "support/bytestream.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -31,8 +33,9 @@ TEST(Determinism, ExperimentSaveLoadSaveIsByteStable) {
   auto mod = testfix::make_chase_module(500, 3, 1024);
   const sym::Image img = scc::compile(*mod);
   auto ex = testfix::quick_collect(img, "+dcrm,97", "hi");
-  const std::string d1 = ::testing::TempDir() + "/dsp_prop_exp1";
-  const std::string d2 = ::testing::TempDir() + "/dsp_prop_exp2";
+  const testfix::ScopedTempDir tmp;
+  const std::string d1 = tmp.path("exp1");
+  const std::string d2 = tmp.path("exp2");
   ex.save(d1);
   experiment::Experiment::load(d1).save(d2);
   EXPECT_EQ(read_file(d1 + "/events.bin"), read_file(d2 + "/events.bin"));
@@ -117,6 +120,9 @@ TEST(MergeResults, MultiDirReductionEqualsMergedSingleDirsUnderRandomSplits) {
   const auto ex_c = testfix::quick_collect(img, "+dtlbm,31", "hi");
   const std::vector<const experiment::Experiment*> dirs = {&ex_a, &ex_b, &ex_c};
   const std::string offline = analyze::render_json_report(analyze::Analysis(dirs));
+  // Offline Reduction::run merges per-shard segments the same way; the
+  // serial std::map oracle pins both to the seed's fold on any core count.
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(dirs, oracle::reduce(dirs))), offline);
 
   std::mt19937_64 rng(20030815);
   for (int round = 0; round < 3; ++round) {
@@ -147,8 +153,8 @@ TEST(MergeResults, DifferentBinariesRefuseToMerge) {
   const sym::Image img2 = mcfsim::build_mcf_image();
   const auto ex1 = testfix::quick_collect(img1, "+dcrm,97");
   const auto ex2 = testfix::quick_collect(img2, "+dcrm,97");
-  const analyze::ReductionResult r1 = analyze::Reduction::run({&ex1}, 1);
-  const analyze::ReductionResult r2 = analyze::Reduction::run({&ex2}, 1);
+  const analyze::ReductionResult r1 = analyze::Reduction::run({&ex1});
+  const analyze::ReductionResult r2 = analyze::Reduction::run({&ex2});
   EXPECT_THROW(analyze::merge_results({&r1, &r2}), Error);
 }
 

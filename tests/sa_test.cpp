@@ -1,9 +1,9 @@
 // Static-analysis subsystem tests (src/sa):
 //   * CFG reconstruction facts on compiled images,
 //   * BacktrackTable vs backtrack_dynamic bit-identity — exhaustive PC
-//     sweeps, the conservative annulled-delay-slot rule on a hand-assembled
-//     image, and end-to-end dual-engine collection on the chase fixture and
-//     the paper's MCF workloads (every backtrackable counter spec),
+//     sweeps and the conservative annulled-delay-slot rule on a
+//     hand-assembled image (the collector itself only queries the table;
+//     SimulatorGolden in collect_test pins the events it writes),
 //   * hwcprof invariant lint: default-compiled output is lint-clean, each
 //     scc codegen mutation hook fires exactly its corresponding rule,
 //   * verifier report rendering (text + JSON).
@@ -104,23 +104,6 @@ void expect_engines_agree(const sym::Image& img, u32 window, u64 seed,
     EXPECT_EQ(d.found, t.found) << label;
     EXPECT_FALSE(t.found) << label;
     EXPECT_FALSE(t.ea_known) << label;
-  }
-}
-
-void expect_same_events(const experiment::Experiment& x, const experiment::Experiment& y) {
-  ASSERT_EQ(x.events.size(), y.events.size());
-  for (size_t i = 0; i < x.events.size(); ++i) {
-    const experiment::EventView a = x.events[i], b = y.events[i];
-    ASSERT_EQ(a.pic, b.pic) << "event " << i;
-    ASSERT_EQ(a.event, b.event) << "event " << i;
-    ASSERT_EQ(a.weight, b.weight) << "event " << i;
-    ASSERT_EQ(a.delivered_pc, b.delivered_pc) << "event " << i;
-    ASSERT_EQ(a.has_candidate, b.has_candidate) << "event " << i;
-    ASSERT_EQ(a.candidate_pc, b.candidate_pc) << "event " << i;
-    ASSERT_EQ(a.has_ea, b.has_ea) << "event " << i;
-    ASSERT_EQ(a.ea, b.ea) << "event " << i;
-    ASSERT_TRUE(a.callstack == b.callstack) << "event " << i;
-    ASSERT_EQ(a.seq, b.seq) << "event " << i;
   }
 }
 
@@ -276,73 +259,6 @@ TEST(BacktrackTable, AnnulledDelaySlotClobberIsConservative) {
     EXPECT_EQ(d.candidate_pc, t.candidate_pc);
     EXPECT_EQ(d.ea_known, t.ea_known);
     EXPECT_EQ(d.ea, t.ea);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: both collector engines produce identical experiments
-
-machine::CpuConfig small_caches() {
-  machine::CpuConfig cfg;
-  cfg.hierarchy.dcache = {4 * 1024, 4, 32, false};
-  cfg.hierarchy.ecache = {32 * 1024, 2, 512, true};
-  // 4 entries against a ~10-page working set: the DTLB thrashes, so the
-  // precise dtlbm counter overflows often enough to generate events.
-  cfg.hierarchy.dtlb = {4, 2, 8 * 1024};
-  return cfg;
-}
-
-experiment::Experiment collect_with_engine(const sym::Image& img, const std::string& hw,
-                                           collect::BacktrackEngine engine) {
-  collect::CollectOptions opt;
-  opt.hw = hw;
-  opt.clock = "off";
-  opt.cpu = small_caches();
-  opt.backtrack_engine = engine;
-  collect::Collector c(img, opt);
-  return c.run();
-}
-
-TEST(BacktrackTable, CollectorEnginesAgreeForEveryBacktrackableCounter) {
-  const sym::Image img = chase_image();
-  // Every counter whose trigger kind is searchable, one spec per PIC rule.
-  for (const char* spec : {"+dcrm,97", "+dcwm,97", "+ecref,193", "+ecrm,97",
-                           "+ecstall,1009", "+dtlbm,13"}) {
-    const auto table = collect_with_engine(img, spec, collect::BacktrackEngine::Table);
-    const auto dynamic = collect_with_engine(img, spec, collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(table.events.size(), 0u) << spec;
-    expect_same_events(table, dynamic);
-  }
-}
-
-TEST(BacktrackTable, CollectorEnginesAgreeOnPaperMcfWorkloads) {
-  // The FIG1-FIG7 benches all consume the paper's two collect command lines
-  // (§3.1). Replicate both on the small setup under each engine.
-  const auto s = mcfsim::PaperSetup::small();
-  const sym::Image img = mcfsim::build_mcf_image(s.build);
-  auto collect_one = [&](const std::string& hw, const std::string& clock,
-                         collect::BacktrackEngine engine) {
-    collect::CollectOptions opt;
-    opt.hw = hw;
-    opt.clock = clock;
-    opt.cpu = s.cpu;
-    opt.backtrack_engine = engine;
-    collect::Collector c(img, opt);
-    return c.run([&](machine::Cpu& cpu) { mcfsim::write_input(cpu.memory(), s.run); });
-  };
-  {
-    const auto t = collect_one("+ecstall,20011,+ecrm,211", "hi", collect::BacktrackEngine::Table);
-    const auto d =
-        collect_one("+ecstall,20011,+ecrm,211", "hi", collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(t.events.size(), 0u);
-    expect_same_events(t, d);
-  }
-  {
-    const auto t = collect_one("+ecref,997,+dtlbm,101", "off", collect::BacktrackEngine::Table);
-    const auto d =
-        collect_one("+ecref,997,+dtlbm,101", "off", collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(t.events.size(), 0u);
-    expect_same_events(t, d);
   }
 }
 

@@ -8,8 +8,6 @@
 // workloads).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstring>
 #include <random>
@@ -19,6 +17,7 @@
 #include "dsl_fixtures.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof::serve {
 namespace {
@@ -285,7 +284,8 @@ TEST(PipeTransport, ShutdownDisconnectsBothEnds) {
 }
 
 TEST_F(ServeTest, UdsTransportEndToEnd) {
-  const std::string path = ::testing::TempDir() + "serve_test_uds.sock";
+  const testfix::ScopedTempDir tmp;
+  const std::string path = tmp.path("uds.sock");
   UdsListener listener(path);
   Server server;
   std::thread accepter([&] {
@@ -720,25 +720,26 @@ TEST_F(ServeTest, AllocationsFlowIntoInstanceView) {
 
 // --- queue-free direct-fold ingest ------------------------------------------
 
+/// Options whose before_reduce seam sends every batch through the queue.
+ServerOptions queued_options() {
+  ServerOptions sopt;
+  sopt.before_reduce = [](u64) {};
+  return sopt;
+}
+
 TEST_F(ServeTest, DirectFoldSnapshotBitIdenticalToQueued) {
   // The queue-free fast path must not change a single output byte: the
-  // same stream through direct and queued ingest renders the offline
+  // same stream folded inline and through the queue renders the offline
   // report either way, across batch splits.
   const std::string offline = offline_report(*ex_);
   for (const size_t batch : {size_t{64}, size_t{1000}, ex_->events.size()}) {
-    ServerOptions direct;
-    direct.direct_fold = true;
-    ServerOptions queued;
-    queued.direct_fold = false;
-    EXPECT_EQ(stream_snapshot(*ex_, batch, direct), offline) << "batch " << batch;
-    EXPECT_EQ(stream_snapshot(*ex_, batch, queued), offline) << "batch " << batch;
+    EXPECT_EQ(stream_snapshot(*ex_, batch, ServerOptions{}), offline) << "batch " << batch;
+    EXPECT_EQ(stream_snapshot(*ex_, batch, queued_options()), offline) << "batch " << batch;
   }
 }
 
 TEST_F(ServeTest, DirectFoldTakesTheFastPathAndQueuedNever) {
-  const auto run = [&](bool direct_fold) {
-    ServerOptions sopt;
-    sopt.direct_fold = direct_fold;
+  const auto run = [&](const ServerOptions& sopt) {
     Server server(sopt);
     auto [client_end, server_end] = make_pipe_pair();
     server.add_session(std::move(server_end));
@@ -751,13 +752,13 @@ TEST_F(ServeTest, DirectFoldTakesTheFastPathAndQueuedNever) {
     server.stop();
     return st;
   };
-  // Direct mode: the first batch always finds the queue empty and the
-  // reducer idle, so at least one fold runs inline in the reader.
-  const ServerStats direct = run(true);
+  // Default: the first batch always finds the queue empty and the reducer
+  // idle, so at least one fold runs inline in the reader.
+  const ServerStats direct = run(ServerOptions{});
   EXPECT_GT(direct.direct_folds, 0u);
   EXPECT_EQ(direct.events_dropped, 0u);
-  // Queued mode: the fast path is disabled outright.
-  const ServerStats queued = run(false);
+  // With the seam installed the fast path never runs.
+  const ServerStats queued = run(queued_options());
   EXPECT_EQ(queued.direct_folds, 0u);
   EXPECT_EQ(queued.events_in, direct.events_in);
   EXPECT_EQ(queued.events_reduced, direct.events_reduced);
@@ -767,7 +768,6 @@ TEST_F(ServeTest, BeforeReduceSeamForcesQueuedPath) {
   // Overload tests stall the reducer through before_reduce; the fast path
   // must not bypass the seam (or those tests would stop meaning anything).
   ServerOptions sopt;
-  sopt.direct_fold = true;
   std::atomic<unsigned> seam_hits{0};
   sopt.before_reduce = [&](u64) { seam_hits.fetch_add(1); };
   Server server(sopt);
@@ -823,8 +823,8 @@ TEST(Endpoints, RetryReachesAListenerThatStartsLate) {
   // The deployment race connect_with_retry exists for: the collector comes
   // up before the daemon. The first attempts fail (no socket yet), then the
   // listener appears and a later attempt lands.
-  const std::string path = ::testing::TempDir() + "serve_test_late.sock";
-  ::unlink(path.c_str());
+  const testfix::ScopedTempDir tmp;
+  const std::string path = tmp.path("late.sock");
   std::thread late([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     UdsListener listener(path);

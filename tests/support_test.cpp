@@ -5,6 +5,7 @@
 #include "support/bytestream.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -114,7 +115,8 @@ TEST(ByteStream, UnderrunThrows) {
 }
 
 TEST(ByteStream, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/dsp_bytestream_test.bin";
+  const testfix::ScopedTempDir tmp;
+  const std::string path = tmp.path("bytes.bin");
   std::vector<u8> data = {9, 8, 7, 6};
   write_file(path, data);
   EXPECT_EQ(read_file(path), data);

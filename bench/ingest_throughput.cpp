@@ -15,7 +15,7 @@
 //
 // Floor: the ROADMAP's production-scale north star needs ingest to keep up
 // with many concurrent collectors; with the zero-copy fast path (range
-// batch encode, frozen decode, queue-free reader-thread folds into the
+// batch encode, zero-copy decode, queue-free reader-thread folds into the
 // radix fold) the acceptance bar is >= 10,000,000 events/s sustained
 // through the in-process transport into live aggregates — normalized for
 // machine speed using the std::map reduction oracle (tests/) as an in-run

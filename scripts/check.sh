@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite, once normally and once under
-# AddressSanitizer (DSPROF_SANITIZE=address); the simulator suites once more
-# under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined); plus these
+# AddressSanitizer (DSPROF_SANITIZE=address); the simulator and trust-boundary
+# suites once more under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined);
+# plus these
 # static/dynamic gates:
 #   - clang-tidy over src/sa/, src/opt/, src/collect/, src/machine/,
 #     src/obs/, src/serve/, src/experiment/ and src/analyze/ (skipped with a
@@ -48,7 +49,7 @@
 #   scripts/check.sh            # all build passes + all gates + benches
 #   scripts/check.sh --fast     # normal pass + gates only
 #   scripts/check.sh --asan     # ASan pass only
-#   scripts/check.sh --ubsan    # UBSan pass over the simulator suites only
+#   scripts/check.sh --ubsan    # UBSan pass over the simulator and boundary suites only
 #   scripts/check.sh --bench    # benchmark sweep only (BENCH_*.json)
 #
 # Exits nonzero on the first failing step.
@@ -76,9 +77,13 @@ run_pass() {
 # UBSan over the suites that drive the simulator's inline fast paths —
 # pointer arithmetic into memory chunks and cache lines, u64 threshold
 # arithmetic for the time-driven counters — plus the collect and
-# multiplexing suites that run them end to end. Findings are fatal
+# multiplexing suites that run them end to end, and the suites that feed
+# untrusted bytes through the trust boundaries: events.bin loading
+# (event_store_test), wire frames (serve_test) and the seeded mutation
+# fuzzer over both (robustness_test). Findings are fatal
 # (-fno-sanitize-recover), so a clean exit is a clean pass.
-ubsan_suites=(mem_test cache_test machine_test collect_test multiplex_test)
+ubsan_suites=(mem_test cache_test machine_test collect_test multiplex_test
+              event_store_test serve_test robustness_test)
 run_ubsan() {
   local dir="$1" t
   echo "== ubsan: configure + build ${ubsan_suites[*]} (${dir}) =="

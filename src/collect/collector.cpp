@@ -305,7 +305,7 @@ sa::BacktrackAnswer Collector::backtrack(const machine::OverflowDelivery& d) {
 }
 
 void Collector::on_overflow(const machine::OverflowDelivery& d) {
-  // Hot path: append straight into the columnar store. No EventRecord is
+  // Hot path: append straight into the columnar store. No row record is
   // materialized and no per-event heap allocation happens — the callstack
   // words are interned into the store's shared arena.
   static const obs::Counter kOverflows = obs::counter("collect.overflows");

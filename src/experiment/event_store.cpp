@@ -16,30 +16,6 @@ u64 hash_words(const u64* p, u32 n) {
 }
 
 template <typename T>
-void put_pod_column(ByteWriter& w, Column<T> col) {
-  w.put_u64(col.size());
-  if (!col.empty()) {
-    const auto* p = reinterpret_cast<const u8*>(col.data());
-    w.put_blob(p, col.size() * sizeof(T));
-  } else {
-    w.put_blob(nullptr, 0);
-  }
-}
-
-template <typename T>
-std::vector<T> get_pod_column(ByteReader& r) {
-  const u64 n = r.get_u64();
-  const std::vector<u8> raw = r.get_blob();
-  // Divide instead of multiplying: `n * sizeof(T)` wraps for corrupt counts
-  // near 2^64, and allocating `col(n)` before validating would OOM.
-  DSP_CHECK(raw.size() % sizeof(T) == 0 && raw.size() / sizeof(T) == n,
-            "event column size mismatch");
-  std::vector<T> col(static_cast<size_t>(n));
-  if (n != 0) std::memcpy(col.data(), raw.data(), raw.size());
-  return col;
-}
-
-template <typename T>
 void put_pod_column_aligned(ByteWriter& w, Column<T> col) {
   w.put_u64(col.size());
   w.align_to(8);
@@ -59,13 +35,6 @@ Column<T> view_pod_column_aligned(ByteReader& r) {
   const u8* p = r.cursor();
   r.skip(n * sizeof(T));
   return Column<T>(reinterpret_cast<const T*>(p), static_cast<size_t>(n));
-}
-
-template <typename T>
-std::vector<T> to_vector(Column<T> col) {
-  std::vector<T> v(col.size());
-  if (!col.empty()) std::memcpy(v.data(), col.data(), col.size() * sizeof(T));
-  return v;
 }
 
 }  // namespace
@@ -99,7 +68,7 @@ u64 EventStore::intern(const u64* stack, u32 len) {
 void EventStore::append(u8 pic, machine::HwEvent event, u64 weight, u64 delivered_pc,
                         bool has_candidate, u64 candidate_pc, bool has_ea, u64 ea,
                         const u64* stack, size_t stack_len, u64 seq, u8 set) {
-  DSP_CHECK(!frozen_, "append to a frozen EventStore");
+  DSP_CHECK(!mapped_, "append to a mapped EventStore");
   const u64 off = intern(stack, static_cast<u32>(stack_len));
   pic_.push_back(pic);
   event_.push_back(static_cast<u8>(event));
@@ -143,18 +112,17 @@ void EventStore::clear() {
   arena_.clear();
   intern_.clear();
   has_empty_ = false;
-  // Dropping mapped/frozen state turns the store back into an empty owning
-  // one (and releases the file mapping).
+  // Dropping mapped state turns the store back into an empty owning one
+  // (and releases the mapped bytes).
   mapped_ = false;
   mapped_rows_ = 0;
   mapping_.reset();
-  frozen_ = false;
-  frozen_unique_valid_ = false;
+  mapped_unique_valid_ = false;
 }
 
 size_t EventStore::unique_callstacks() const {
-  if (!frozen_) return intern_.size() + (has_empty_ ? 1 : 0);
-  if (!frozen_unique_valid_) {
+  if (!mapped_) return intern_.size() + (has_empty_ ? 1 : 0);
+  if (!mapped_unique_valid_) {
     // No interning table to consult: count distinct {offset,len} handles.
     // Only stats displays ask for this, so O(n log n) on demand is fine.
     const auto off = cs_offset_col();
@@ -163,11 +131,11 @@ size_t EventStore::unique_callstacks() const {
     handles.reserve(off.size());
     for (size_t i = 0; i < off.size(); ++i) handles.emplace_back(off[i], len[i]);
     std::sort(handles.begin(), handles.end());
-    frozen_unique_ = static_cast<size_t>(
+    mapped_unique_ = static_cast<size_t>(
         std::unique(handles.begin(), handles.end()) - handles.begin());
-    frozen_unique_valid_ = true;
+    mapped_unique_valid_ = true;
   }
-  return frozen_unique_;
+  return mapped_unique_;
 }
 
 void EventStore::append_range(const EventStore& other, size_t begin, size_t end) {
@@ -187,35 +155,12 @@ void EventStore::append_range(const EventStore& other, size_t begin, size_t end)
   const auto o_off = other.cs_offset_col();
   const auto o_len = other.cs_len_col();
   const auto o_arena = other.arena();
+  const auto o_set = other.set_col();
   arena_.reserve(arena_.size() + o_arena.size());
   for (size_t i = begin; i < end; ++i) {
     append(o_pic[i], static_cast<machine::HwEvent>(o_event[i]), o_weight[i], o_dpc[i],
            (o_flags[i] & kHasCandidate) != 0, o_cpc[i], (o_flags[i] & kHasEa) != 0, o_ea[i],
-           o_arena.data() + o_off[i], o_len[i], o_seq[i], other.event_set(i));
-  }
-}
-
-void EventStore::serialize(ByteWriter& w, bool with_set) const {
-  put_pod_column(w, pic_col());
-  put_pod_column(w, event_col());
-  put_pod_column(w, weight_col());
-  put_pod_column(w, delivered_pc_col());
-  put_pod_column(w, flags_col());
-  put_pod_column(w, candidate_pc_col());
-  put_pod_column(w, ea_col());
-  put_pod_column(w, seq_col());
-  put_pod_column(w, cs_offset_col());
-  put_pod_column(w, cs_len_col());
-  put_pod_column(w, arena());
-  if (with_set) {
-    if (set_col().size() == size()) {
-      put_pod_column(w, set_col());
-    } else {
-      // A mapped pre-multiplexing store has no set column: every event
-      // belongs to set 0.
-      const std::vector<u8> zeros(size(), 0);
-      put_pod_column(w, Column<u8>(zeros));
-    }
+           o_arena.data() + o_off[i], o_len[i], o_seq[i], o_set[i]);
   }
 }
 
@@ -266,40 +211,8 @@ void EventStore::remap_slice(size_t begin, size_t end, std::vector<u64>& slice_o
   }
 }
 
-void EventStore::serialize_range(ByteWriter& w, size_t begin, size_t end, bool with_set) const {
-  DSP_CHECK(begin <= end && end <= size(), "serialize_range outside store");
-  const size_t n = end - begin;
-  std::vector<u64> slice_off, slice_arena;
-  remap_slice(begin, end, slice_off, slice_arena);
-
-  put_pod_column(w, Column<u8>(pic_col().data() + begin, n));
-  put_pod_column(w, Column<u8>(event_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(weight_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(delivered_pc_col().data() + begin, n));
-  put_pod_column(w, Column<u8>(flags_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(candidate_pc_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(ea_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(seq_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(slice_off));
-  put_pod_column(w, Column<u32>(cs_len_col().data() + begin, n));
-  put_pod_column(w, Column<u64>(slice_arena));
-  if (with_set) {
-    if (set_col().size() == size()) {
-      put_pod_column(w, Column<u8>(set_col().data() + begin, n));
-    } else {
-      const std::vector<u8> zeros(n, 0);
-      put_pod_column(w, Column<u8>(zeros));
-    }
-  }
-}
-
-void EventStore::serialize_range_aligned(ByteWriter& w, size_t begin, size_t end,
-                                         bool with_set) const {
-  DSP_CHECK(begin <= end && end <= size(), "serialize_range outside store");
-  const size_t n = end - begin;
-  std::vector<u64> slice_off, slice_arena;
-  remap_slice(begin, end, slice_off, slice_arena);
-
+void EventStore::put_columns(ByteWriter& w, size_t begin, size_t n, Column<u64> cs_offset,
+                             Column<u64> arena) const {
   put_pod_column_aligned(w, Column<u8>(pic_col().data() + begin, n));
   put_pod_column_aligned(w, Column<u8>(event_col().data() + begin, n));
   put_pod_column_aligned(w, Column<u64>(weight_col().data() + begin, n));
@@ -308,104 +221,26 @@ void EventStore::serialize_range_aligned(ByteWriter& w, size_t begin, size_t end
   put_pod_column_aligned(w, Column<u64>(candidate_pc_col().data() + begin, n));
   put_pod_column_aligned(w, Column<u64>(ea_col().data() + begin, n));
   put_pod_column_aligned(w, Column<u64>(seq_col().data() + begin, n));
-  put_pod_column_aligned(w, Column<u64>(slice_off));
+  put_pod_column_aligned(w, cs_offset);
   put_pod_column_aligned(w, Column<u32>(cs_len_col().data() + begin, n));
-  put_pod_column_aligned(w, Column<u64>(slice_arena));
-  if (with_set) {
-    if (set_col().size() == size()) {
-      put_pod_column_aligned(w, Column<u8>(set_col().data() + begin, n));
-    } else {
-      const std::vector<u8> zeros(n, 0);
-      put_pod_column_aligned(w, Column<u8>(zeros));
-    }
-  }
+  put_pod_column_aligned(w, arena);
+  put_pod_column_aligned(w, Column<u8>(set_col().data() + begin, n));
 }
 
-void EventStore::serialize_aligned(ByteWriter& w, bool with_set) const {
-  put_pod_column_aligned(w, pic_col());
-  put_pod_column_aligned(w, event_col());
-  put_pod_column_aligned(w, weight_col());
-  put_pod_column_aligned(w, delivered_pc_col());
-  put_pod_column_aligned(w, flags_col());
-  put_pod_column_aligned(w, candidate_pc_col());
-  put_pod_column_aligned(w, ea_col());
-  put_pod_column_aligned(w, seq_col());
-  put_pod_column_aligned(w, cs_offset_col());
-  put_pod_column_aligned(w, cs_len_col());
-  put_pod_column_aligned(w, arena());
-  if (with_set) {
-    if (set_col().size() == size()) {
-      put_pod_column_aligned(w, set_col());
-    } else {
-      const std::vector<u8> zeros(size(), 0);
-      put_pod_column_aligned(w, Column<u8>(zeros));
-    }
-  }
+void EventStore::serialize_range_aligned(ByteWriter& w, size_t begin, size_t end) const {
+  DSP_CHECK(begin <= end && end <= size(), "serialize_range_aligned outside store");
+  std::vector<u64> slice_off, slice_arena;
+  remap_slice(begin, end, slice_off, slice_arena);
+  put_columns(w, begin, end - begin, Column<u64>(slice_off), Column<u64>(slice_arena));
 }
 
-void EventStore::validate_and_adopt(bool rebuild_intern) {
-  const size_t n = pic_.size();
-  DSP_CHECK(event_.size() == n && weight_.size() == n && delivered_pc_.size() == n &&
-                flags_.size() == n && candidate_pc_.size() == n && ea_.size() == n &&
-                seq_.size() == n && cs_offset_.size() == n && cs_len_.size() == n &&
-                set_.size() == n,
-            "event columns have inconsistent lengths");
-  for (size_t i = 0; i < n; ++i) {
-    // Overflow-safe form: offset + len can wrap past the arena size.
-    DSP_CHECK(cs_offset_[i] <= arena_.size() && cs_len_[i] <= arena_.size() - cs_offset_[i],
-              "callstack handle outside arena");
-  }
-  if (!rebuild_intern) {
-    frozen_ = true;
-    return;
-  }
-  // Rebuild the interning table so further appends keep deduplicating.
-  for (size_t i = 0; i < n; ++i) {
-    if (cs_len_[i] == 0) {
-      has_empty_ = true;
-      continue;
-    }
-    const u64* p = arena_.data() + cs_offset_[i];
-    u64 key = hash_words(p, cs_len_[i]);
-    for (;;) {
-      Interned& slot = intern_[key];
-      if (slot.len == 0) {
-        slot.offset = cs_offset_[i];
-        slot.len = cs_len_[i];
-        break;
-      }
-      if (slot.len == cs_len_[i] &&
-          std::memcmp(arena_.data() + slot.offset, p, slot.len * sizeof(u64)) == 0) {
-        break;
-      }
-      key = mix_u64(key + 0x9e3779b97f4a7c15ULL);
-    }
-  }
+void EventStore::serialize_aligned(ByteWriter& w) const {
+  put_columns(w, 0, size(), cs_offset_col(), arena());
 }
 
-EventStore EventStore::deserialize(ByteReader& r, bool rebuild_intern, bool with_set) {
-  EventStore s;
-  s.pic_ = get_pod_column<u8>(r);
-  s.event_ = get_pod_column<u8>(r);
-  s.weight_ = get_pod_column<u64>(r);
-  s.delivered_pc_ = get_pod_column<u64>(r);
-  s.flags_ = get_pod_column<u8>(r);
-  s.candidate_pc_ = get_pod_column<u64>(r);
-  s.ea_ = get_pod_column<u64>(r);
-  s.seq_ = get_pod_column<u64>(r);
-  s.cs_offset_ = get_pod_column<u64>(r);
-  s.cs_len_ = get_pod_column<u32>(r);
-  s.arena_ = get_pod_column<u64>(r);
-  // Pre-multiplexing layouts have no set column: one always-live set 0.
-  s.set_ = with_set ? get_pod_column<u8>(r) : std::vector<u8>(s.pic_.size(), 0);
-  s.validate_and_adopt(rebuild_intern);
-  return s;
-}
-
-EventStore EventStore::deserialize_aligned(ByteReader& r, std::shared_ptr<const void> keepalive,
-                                           bool with_set) {
-  // Parse the column views first (bounds-checked against the reader), then
-  // either adopt them zero-copy or deep-copy into owning vectors.
+EventStore EventStore::deserialize_aligned(ByteReader& r, std::shared_ptr<const void> keepalive) {
+  // Parse the column views (bounds-checked against the reader), validate
+  // them, then adopt them zero-copy.
   const Column<u8> pic = view_pod_column_aligned<u8>(r);
   const Column<u8> event = view_pod_column_aligned<u8>(r);
   const Column<u64> weight = view_pod_column_aligned<u64>(r);
@@ -417,55 +252,39 @@ EventStore EventStore::deserialize_aligned(ByteReader& r, std::shared_ptr<const 
   const Column<u64> cs_offset = view_pod_column_aligned<u64>(r);
   const Column<u32> cs_len = view_pod_column_aligned<u32>(r);
   const Column<u64> arena = view_pod_column_aligned<u64>(r);
-  const Column<u8> set = with_set ? view_pod_column_aligned<u8>(r) : Column<u8>();
-  if (with_set) {
-    DSP_CHECK(set.size() == pic.size(), "event columns have inconsistent lengths");
+  const Column<u8> set = view_pod_column_aligned<u8>(r);
+
+  const size_t n = pic.size();
+  DSP_CHECK(event.size() == n && weight.size() == n && delivered_pc.size() == n &&
+                flags.size() == n && candidate_pc.size() == n && ea.size() == n &&
+                seq.size() == n && cs_offset.size() == n && cs_len.size() == n &&
+                set.size() == n,
+            "event columns have inconsistent lengths");
+  for (size_t i = 0; i < n; ++i) {
+    // The analyzer indexes per-event arrays by the event id.
+    DSP_CHECK(event[i] < machine::kNumHwEvents,
+              "event id " + std::to_string(event[i]) + " out of range");
+    // Overflow-safe form: offset + len can wrap past the arena size.
+    DSP_CHECK(cs_offset[i] <= arena.size() && cs_len[i] <= arena.size() - cs_offset[i],
+              "callstack handle outside arena");
   }
 
   EventStore s;
-  if (keepalive != nullptr) {
-    const size_t n = pic.size();
-    DSP_CHECK(event.size() == n && weight.size() == n && delivered_pc.size() == n &&
-                  flags.size() == n && candidate_pc.size() == n && ea.size() == n &&
-                  seq.size() == n && cs_offset.size() == n && cs_len.size() == n,
-              "event columns have inconsistent lengths");
-    for (size_t i = 0; i < n; ++i) {
-      DSP_CHECK(cs_offset[i] <= arena.size() && cs_len[i] <= arena.size() - cs_offset[i],
-                "callstack handle outside arena");
-    }
-    s.mapped_ = true;
-    s.frozen_ = true;
-    s.mapped_rows_ = n;
-    s.m_pic_ = pic;
-    s.m_event_ = event;
-    s.m_weight_ = weight;
-    s.m_delivered_pc_ = delivered_pc;
-    s.m_flags_ = flags;
-    s.m_candidate_pc_ = candidate_pc;
-    s.m_ea_ = ea;
-    s.m_seq_ = seq;
-    s.m_cs_offset_ = cs_offset;
-    s.m_cs_len_ = cs_len;
-    s.m_arena_ = arena;
-    s.m_set_ = set;  // empty for pre-multiplexing files: event_set() reads 0
-    s.mapping_ = std::move(keepalive);
-    return s;
-  }
-
-  // Stream fallback: copy the views out and build a full owning store.
-  s.pic_ = to_vector(pic);
-  s.event_ = to_vector(event);
-  s.weight_ = to_vector(weight);
-  s.delivered_pc_ = to_vector(delivered_pc);
-  s.flags_ = to_vector(flags);
-  s.candidate_pc_ = to_vector(candidate_pc);
-  s.ea_ = to_vector(ea);
-  s.seq_ = to_vector(seq);
-  s.cs_offset_ = to_vector(cs_offset);
-  s.cs_len_ = to_vector(cs_len);
-  s.arena_ = to_vector(arena);
-  s.set_ = with_set ? to_vector(set) : std::vector<u8>(s.pic_.size(), 0);
-  s.validate_and_adopt(/*rebuild_intern=*/true);
+  s.mapped_ = true;
+  s.mapped_rows_ = n;
+  s.m_pic_ = pic;
+  s.m_event_ = event;
+  s.m_weight_ = weight;
+  s.m_delivered_pc_ = delivered_pc;
+  s.m_flags_ = flags;
+  s.m_candidate_pc_ = candidate_pc;
+  s.m_ea_ = ea;
+  s.m_seq_ = seq;
+  s.m_cs_offset_ = cs_offset;
+  s.m_cs_len_ = cs_len;
+  s.m_arena_ = arena;
+  s.m_set_ = set;
+  s.mapping_ = std::move(keepalive);
   return s;
 }
 

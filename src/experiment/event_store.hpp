@@ -1,6 +1,6 @@
 // Columnar (struct-of-arrays) storage for profile events.
 //
-// The seed kept a std::vector<EventRecord> where every event owned a
+// The seed kept a vector of row records where every event owned a
 // heap-allocated callstack vector — at 10^5-10^6 events per run that is an
 // allocation per event on the collection hot path and a pointer chase per
 // event in every reduction. The EventStore instead keeps one column per
@@ -13,15 +13,12 @@
 //   owning   the default: std::vector columns + a live interning table.
 //            Append-only; after warm-up, appending an event performs no
 //            heap allocation beyond amortized column growth.
-//   mapped   zero-copy views into a read-only file mapping (the DSPG
-//            aligned on-disk layout, experiment.hpp). Columns are read
-//            straight from the page cache; the store holds the mapping
-//            alive via shared_ptr. Mapped stores are frozen: append()
-//            is an error, reduction and serialization work unchanged.
-//
-// A store deserialized with rebuild_intern=false (the dsprofd batch decode
-// path, which only folds and discards) is owning but also frozen — it skips
-// the O(events) interning-table rebuild that appending would need.
+//   mapped   zero-copy views into read-only bytes in the aligned columnar
+//            layout: an events.bin mapping (experiment.hpp) or a wire
+//            EventBatch payload (serve/wire.hpp). The store holds those
+//            bytes alive via shared_ptr. Mapped stores are read-only:
+//            append() is an error, reduction and serialization work
+//            unchanged, and append_range copies one into an owning store.
 #pragma once
 
 #include <memory>
@@ -30,12 +27,11 @@
 #include "machine/counters.hpp"
 #include "support/bytestream.hpp"
 #include "support/flat_hash.hpp"
-#include "support/mmap_file.hpp"
 
 namespace dsprof::experiment {
 
 /// Non-owning typed view of one column: either a window over an owning
-/// std::vector or a slice of a read-only file mapping. Valid as long as the
+/// std::vector or a slice of read-only mapped bytes. Valid as long as the
 /// owning EventStore is alive (and, for owning stores, un-appended).
 template <typename T>
 class Column {
@@ -87,7 +83,7 @@ struct CallstackRef {
 /// information available at collection time on real hardware: the skidded
 /// delivered PC, the backtracked candidate trigger PC (if any), and the
 /// recomputed effective address (if the address registers survived the
-/// skid). Field-compatible with the seed's EventRecord.
+/// skid).
 struct EventView {
   u8 pic = 0;  // 0/1, or machine::kClockPic for clock-profile samples
   machine::HwEvent event = machine::HwEvent::Cycle_cnt;
@@ -110,15 +106,12 @@ class EventStore {
   size_t size() const { return mapped_ ? mapped_rows_ : pic_.size(); }
   bool empty() const { return size() == 0; }
 
-  /// True for zero-copy stores over a file mapping.
+  /// True for zero-copy stores over mapped bytes (these refuse append()).
   bool is_mapped() const { return mapped_; }
-  /// True when the store cannot accept appends: mapped stores, and stores
-  /// deserialized without an interning table (the fold-and-discard path).
-  bool is_frozen() const { return frozen_; }
 
   /// Append one event; the callstack words are interned into the arena.
   /// No per-event allocation once columns/arena capacity has warmed up
-  /// (growth is amortized). Error on a frozen store. `set` is the
+  /// (growth is amortized). Error on a mapped store. `set` is the
   /// multiplexed counter set the event was recorded under (0 when the run
   /// does not multiplex).
   void append(u8 pic, machine::HwEvent event, u64 weight, u64 delivered_pc, bool has_candidate,
@@ -137,15 +130,8 @@ class EventStore {
     v.ea = ea_col()[i];
     v.callstack = callstack(i);
     v.seq = seq_col()[i];
-    v.set = event_set(i);
+    v.set = set_col()[i];
     return v;
-  }
-
-  /// Counter set of event `i`. Stores loaded from pre-multiplexing files
-  /// have no set column and report 0 for every event (one always-live set).
-  u8 event_set(size_t i) const {
-    const Column<u8> s = set_col();
-    return i < s.size() ? s[i] : 0;
   }
 
   CallstackRef callstack(size_t i) const {
@@ -170,12 +156,10 @@ class EventStore {
   Column<u64> cs_offset_col() const { return mapped_ ? m_cs_offset_ : Column<u64>(cs_offset_); }
   Column<u32> cs_len_col() const { return mapped_ ? m_cs_len_ : Column<u32>(cs_len_); }
   Column<u64> arena() const { return mapped_ ? m_arena_ : Column<u64>(arena_); }
-  /// Counter-set column. Empty (not size()-long) for mapped stores loaded
-  /// from pre-multiplexing files — use event_set() for a safe per-event read.
   Column<u8> set_col() const { return mapped_ ? m_set_ : Column<u8>(set_); }
 
   /// Number of distinct interned callstacks (arena dedup effectiveness).
-  /// For frozen stores (no interning table) this is computed on first call
+  /// For mapped stores (no interning table) this is computed on first call
   /// by scanning the handle columns.
   size_t unique_callstacks() const;
   size_t arena_words() const { return arena().size(); }
@@ -185,9 +169,8 @@ class EventStore {
 
   /// Bulk-append events [begin, end) of `other` (callstacks re-interned
   /// into this store's arena). Reserves up front, so the batch paths —
-  /// collect's batch export, the dsprofd wire codec, bench replay — pay
-  /// amortized column growth once instead of per event. `other` may be
-  /// mapped or frozen; `this` must not be.
+  /// collect's batch export, bench replay — pay amortized column growth
+  /// once instead of per event. `other` may be mapped; `this` must not be.
   void append_range(const EventStore& other, size_t begin, size_t end);
   void append_store(const EventStore& other) { append_range(other, 0, other.size()); }
 
@@ -221,63 +204,43 @@ class EventStore {
   const_iterator begin() const { return const_iterator(this, 0); }
   const_iterator end() const { return const_iterator(this, size()); }
 
-  // Every serializer/deserializer takes `with_set`: true appends the
-  // counter-set column after the arena (multiplexed on-disk revisions, and
-  // always on the v4 wire), false writes/reads the pre-multiplexing layout
-  // byte for byte (a store with no set column loads with every set = 0).
+  // --- the aligned columnar codec -------------------------------------------
+  // Every column is a u64 element count followed by the raw elements, padded
+  // to an 8-byte offset from the start of the writer: pic, event, weight,
+  // delivered_pc, flags, candidate_pc, ea, seq, cs_offset, cs_len, arena,
+  // set. events.bin and the wire EventBatch both carry these bytes.
 
-  /// Serialize the columns + arena (the "DSPF" unaligned events layout;
-  /// with_set = the "DSPI" multiplexed revision).
-  void serialize(ByteWriter& w, bool with_set = false) const;
+  /// Serialize the whole store. `w` must hold the whole file or payload from
+  /// offset 0 for the alignment to be meaningful.
+  void serialize_aligned(ByteWriter& w) const;
 
-  /// Serialize events [begin, end) as a self-contained store in the same
-  /// layout serialize() writes: only the arena ranges the slice references
-  /// are emitted (each once), with handles remapped. This is the wire batch
-  /// encoder's fast path — one hash probe per event to remap the handle,
-  /// no per-event word hashing as append_range + serialize would pay.
-  void serialize_range(ByteWriter& w, size_t begin, size_t end, bool with_set = false) const;
+  /// Serialize events [begin, end) as a self-contained store: only the arena
+  /// ranges the slice references are emitted (each once), with handles
+  /// remapped — one hash probe per event, no per-event word hashing as
+  /// append_range + serialize_aligned would pay. The wire batch encoder.
+  void serialize_range_aligned(ByteWriter& w, size_t begin, size_t end) const;
 
-  /// Serialize with every column's payload padded to an 8-byte file offset
-  /// (the "DSPG" aligned layout, zero-copy mappable; with_set = "DSPJ").
-  /// `w` must hold the whole file from offset 0 for the alignment to be
-  /// meaningful on disk.
-  void serialize_aligned(ByteWriter& w, bool with_set = false) const;
-
-  /// serialize_range's remap-the-arena slice encoding, in the aligned
-  /// layout: the wire batch encoder writes this so the receiver can fold
-  /// straight out of the frame payload without copying a column.
-  void serialize_range_aligned(ByteWriter& w, size_t begin, size_t end,
-                               bool with_set = false) const;
-
-  /// Read the serialize() layout back into an owning store. With
-  /// rebuild_intern=false the interning table is not rebuilt: the store is
-  /// frozen (fold/serialize fine, append an error) and deserialization
-  /// skips an O(events) hashing pass — the dsprofd batch decode path.
-  static EventStore deserialize(ByteReader& r, bool rebuild_intern = true,
-                                bool with_set = false);
-
-  /// Read the serialize_aligned() layout. With a non-null `keepalive` whose
-  /// bytes back `r` (a file mapping, a wire frame payload, ...), the result
-  /// is a zero-copy mapped store holding that storage alive; with
-  /// keepalive == nullptr the columns are copied into an owning store (the
-  /// stream fallback, DSPROF_MMAP=0).
-  static EventStore deserialize_aligned(ByteReader& r, std::shared_ptr<const void> keepalive,
-                                        bool with_set = false);
+  /// Read the aligned layout as a mapped store over the bytes behind `r`,
+  /// which `keepalive` must own (a file mapping, a frame payload). Checks
+  /// that every column has the same length, every callstack handle lies in
+  /// the arena and every event id is a HwEvent before adopting the views.
+  static EventStore deserialize_aligned(ByteReader& r, std::shared_ptr<const void> keepalive);
 
  private:
   /// Intern `stack` into the arena, returning its offset. Identical stacks
   /// share one arena range.
   u64 intern(const u64* stack, u32 len);
 
-  /// Validate column-length agreement and every callstack handle, then
-  /// (optionally) rebuild the interning table. Shared by every loader.
-  void validate_and_adopt(bool rebuild_intern);
-
-  /// The serialize_range slice encoding: remap each referenced arena range
-  /// of [begin, end) into a compact slice arena (one hash probe per event,
-  /// one memcpy per unique stack). Shared by both range serializers.
+  /// The serialize_range_aligned slice encoding: remap each referenced
+  /// arena range of [begin, end) into a compact slice arena (one hash probe
+  /// per event, one memcpy per unique stack).
   void remap_slice(size_t begin, size_t end, std::vector<u64>& slice_off,
                    std::vector<u64>& slice_arena) const;
+
+  /// Write events [begin, begin + n) in the aligned layout with the given
+  /// callstack handles and arena (the store's own, or a remapped slice's).
+  void put_columns(ByteWriter& w, size_t begin, size_t n, Column<u64> cs_offset,
+                   Column<u64> arena) const;
 
   // Per-event columns, all size() long (owning storage).
   std::vector<u8> pic_;
@@ -294,8 +257,7 @@ class EventStore {
 
   std::vector<u64> arena_;  // concatenated unique callstacks
 
-  // Mapped storage: views into `mapping_` (all mapped_rows_ long, except
-  // m_set_ which stays empty for pre-multiplexing files).
+  // Mapped storage: views into `mapping_` (all mapped_rows_ long).
   bool mapped_ = false;
   size_t mapped_rows_ = 0;
   Column<u8> m_pic_, m_event_, m_flags_, m_set_;
@@ -311,11 +273,10 @@ class EventStore {
   };
   FlatHashU64Map<Interned> intern_;
   bool has_empty_ = false;  // an empty callstack has been appended
-  bool frozen_ = false;     // no interning table: append() is an error
 
-  // unique_callstacks() cache for frozen stores (computed on demand).
-  mutable size_t frozen_unique_ = 0;
-  mutable bool frozen_unique_valid_ = false;
+  // unique_callstacks() cache for mapped stores (computed on demand).
+  mutable size_t mapped_unique_ = 0;
+  mutable bool mapped_unique_valid_ = false;
 };
 
 }  // namespace dsprof::experiment

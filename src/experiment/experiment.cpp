@@ -1,6 +1,6 @@
 #include "experiment/experiment.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 
 #include "support/mmap_file.hpp"
@@ -9,101 +9,14 @@ namespace dsprof::experiment {
 
 namespace {
 
-constexpr u32 kMagicLegacy = 0x44535045;    // 'DSPE' — seed row layout
-constexpr u32 kMagicColumnar = 0x44535046;  // 'DSPF' — columnar layout
-constexpr u32 kMagicAligned = 0x44535047;   // 'DSPG' — aligned columnar, mmap-able
-// Multiplexed siblings: same layouts plus counter-set ids and a slice table.
-constexpr u32 kMagicLegacyMpx = 0x44535048;    // 'DSPH'
-constexpr u32 kMagicColumnarMpx = 0x44535049;  // 'DSPI'
-constexpr u32 kMagicAlignedMpx = 0x4453504A;   // 'DSPJ'
+constexpr u32 kMagic = 0x4453504A;  // 'DSPJ'
 
-/// DSPROF_MMAP=0 turns the zero-copy loader off; anything else (including
-/// unset) leaves it on for "DSPG" files.
-bool mmap_enabled() {
-  const char* env = std::getenv("DSPROF_MMAP");
-  return env == nullptr || std::string(env) != "0";
-}
-
-void put_counter(ByteWriter& w, const CounterSpec& c, bool mpx) {
-  w.put_u8(static_cast<u8>(c.event));
-  w.put_u64(c.interval);
-  w.put_u8(c.backtrack ? 1 : 0);
-  w.put_u8(static_cast<u8>(c.pic));
-  if (mpx) w.put_u8(static_cast<u8>(c.set));
-}
-
-CounterSpec get_counter(ByteReader& r, bool mpx) {
-  CounterSpec c;
-  c.event = static_cast<machine::HwEvent>(r.get_u8());
-  c.interval = r.get_u64();
-  c.backtrack = r.get_u8() != 0;
-  c.pic = r.get_u8();
-  if (mpx) c.set = r.get_u8();
-  return c;
-}
-
-void put_header(ByteWriter& w, const Experiment& ex, bool mpx) {
-  w.put_u32(static_cast<u32>(ex.counters.size()));
-  for (const auto& c : ex.counters) put_counter(w, c, mpx);
-  w.put_u64(ex.clock_interval);
-  w.put_u64(ex.clock_hz);
-  w.put_u64(ex.page_size);
-  w.put_u64(ex.ec_line_size);
-  w.put_u64(ex.total_cycles);
-  w.put_u64(ex.total_instructions);
-  if (mpx) {
-    // Slice table: per-set live cycles + switch counts.
-    w.put_u32(static_cast<u32>(ex.slices.size()));
-    for (const auto& s : ex.slices) {
-      w.put_u64(s.live_cycles);
-      w.put_u64(s.switches);
-    }
-  }
-}
-
-void get_header(ByteReader& r, Experiment& ex, bool mpx) {
-  const u32 nc = r.get_u32();
-  // Pre-multiplexing layouts record at most one counter per PIC register; a
-  // multiplexed run at most one per event type. A larger count means the
-  // header is corrupt (and must not drive allocation).
-  const u32 max_counters = mpx ? static_cast<u32>(machine::kNumHwEvents) : machine::kNumPics;
-  DSP_CHECK(nc <= max_counters,
-            "implausible counter count " + std::to_string(nc) + " in header");
-  for (u32 i = 0; i < nc; ++i) ex.counters.push_back(get_counter(r, mpx));
-  ex.clock_interval = r.get_u64();
-  ex.clock_hz = r.get_u64();
-  ex.page_size = r.get_u64();
-  ex.ec_line_size = r.get_u64();
-  ex.total_cycles = r.get_u64();
-  ex.total_instructions = r.get_u64();
-  if (mpx) {
-    const u32 ns = r.get_u32();
-    // Sets partition the counters, so there can never be more sets than
-    // counters were recorded.
-    DSP_CHECK(ns <= nc, "implausible slice-table set count " + std::to_string(ns) +
-                            " in header (only " + std::to_string(nc) + " counters)");
-    for (u32 i = 0; i < ns; ++i) {
-      SliceInfo s;
-      s.live_cycles = r.get_u64();
-      s.switches = r.get_u64();
-      ex.slices.push_back(s);
-    }
-    for (const auto& c : ex.counters) {
-      DSP_CHECK(c.set < ex.slices.size(),
-                "counter set id " + std::to_string(c.set) + " outside the " +
-                    std::to_string(ex.slices.size()) + "-entry slice table");
-    }
-  }
-}
-
-// Older layouts ("DSPE"/"DSPF") carry (addr, size) allocation pairs; the
-// "DSPG" trailer adds the allocation site PC so reports can name instances.
-void put_trailer(ByteWriter& w, const Experiment& ex, bool with_site) {
+void put_trailer(ByteWriter& w, const Experiment& ex) {
   w.put_u32(static_cast<u32>(ex.allocations.size()));
   for (const auto& a : ex.allocations) {
     w.put_u64(a.addr);
     w.put_u64(a.size);
-    if (with_site) w.put_u64(a.site_pc);
+    w.put_u64(a.site_pc);
   }
   w.put_u32(static_cast<u32>(ex.truth.size()));
   for (const auto& t : ex.truth) {
@@ -117,13 +30,13 @@ void put_trailer(ByteWriter& w, const Experiment& ex, bool with_site) {
   }
 }
 
-void get_trailer(ByteReader& r, Experiment& ex, bool with_site) {
+void get_trailer(ByteReader& r, Experiment& ex) {
   const u32 na = r.get_u32();
   for (u32 i = 0; i < na; ++i) {
     machine::AllocRecord a;
     a.addr = r.get_u64();
     a.size = r.get_u64();
-    if (with_site) a.site_pc = r.get_u64();
+    a.site_pc = r.get_u64();
     ex.allocations.push_back(a);
   }
   const u32 nt = r.get_u32();
@@ -140,63 +53,83 @@ void get_trailer(ByteReader& r, Experiment& ex, bool with_site) {
   }
 }
 
-/// The seed's row-oriented event section (one record at a time, each with an
-/// inline callstack).
-void put_events_legacy(ByteWriter& w, const EventStore& events, bool with_set) {
-  w.put_u32(static_cast<u32>(events.size()));
-  for (size_t i = 0; i < events.size(); ++i) {
-    const EventView e = events[i];
-    w.put_u8(e.pic);
-    w.put_u8(static_cast<u8>(e.event));
-    w.put_u64(e.weight);
-    w.put_u64(e.delivered_pc);
-    w.put_u8(static_cast<u8>((e.has_candidate ? 1 : 0) | (e.has_ea ? 2 : 0)));
-    w.put_u64(e.candidate_pc);
-    w.put_u64(e.ea);
-    w.put_u32(static_cast<u32>(e.callstack.size()));
-    for (u64 pc : e.callstack) w.put_u64(pc);
-    w.put_u64(e.seq);
-    if (with_set) w.put_u8(e.set);
+/// The bounds a saved run must meet beyond get_run_header's: a run that did
+/// not multiplex (empty slice table) records at most one counter per PIC
+/// register, all in set 0; a multiplexed run's set ids index its slice table.
+void check_file_header(const Experiment& ex) {
+  if (ex.slices.empty()) {
+    DSP_CHECK(ex.counters.size() <= machine::kNumPics,
+              "implausible counter count " + std::to_string(ex.counters.size()) +
+                  " in header without a slice table");
   }
-}
-
-void get_events_legacy(ByteReader& r, EventStore& events, bool with_set) {
-  const u32 ne = r.get_u32();
-  // Validate the count against the bytes actually present before reserving:
-  // a corrupt count would otherwise drive a multi-gigabyte allocation long
-  // before any read hits the bytestream bounds check. Every legacy record
-  // occupies at least 47 bytes (fixed fields + empty callstack); the
-  // multiplexed layout appends a set byte.
-  const u64 min_record_bytes = with_set ? 48 : 47;
-  DSP_CHECK(ne <= r.remaining() / min_record_bytes,
-            "legacy event count " + std::to_string(ne) + " exceeds the " +
-                std::to_string(r.remaining()) + " bytes remaining");
-  events.reserve(ne);
-  std::vector<u64> stack;  // reused scratch
-  for (u32 i = 0; i < ne; ++i) {
-    const u8 pic = r.get_u8();
-    const auto event = static_cast<machine::HwEvent>(r.get_u8());
-    const u64 weight = r.get_u64();
-    const u64 delivered_pc = r.get_u64();
-    const u8 flags = r.get_u8();
-    const u64 candidate_pc = r.get_u64();
-    const u64 ea = r.get_u64();
-    const u32 depth = r.get_u32();
-    DSP_CHECK(depth <= r.remaining() / 8,
-              "callstack depth " + std::to_string(depth) + " exceeds remaining bytes");
-    stack.clear();
-    stack.reserve(depth);
-    for (u32 d = 0; d < depth; ++d) stack.push_back(r.get_u64());
-    const u64 seq = r.get_u64();
-    const u8 set = with_set ? r.get_u8() : 0;
-    events.append(pic, event, weight, delivered_pc, (flags & 1) != 0, candidate_pc,
-                  (flags & 2) != 0, ea, stack.data(), stack.size(), seq, set);
+  const size_t nsets = std::max<size_t>(ex.slices.size(), 1);
+  for (const auto& c : ex.counters) {
+    DSP_CHECK(c.set < nsets, "counter set id " + std::to_string(c.set) + " outside the " +
+                                 std::to_string(ex.slices.size()) + "-entry slice table");
   }
 }
 
 }  // namespace
 
-void Experiment::save(const std::string& dir, FileFormat format) const {
+void put_run_header(ByteWriter& w, const Experiment& ex) {
+  w.put_u32(static_cast<u32>(ex.counters.size()));
+  for (const auto& c : ex.counters) {
+    w.put_u8(static_cast<u8>(c.event));
+    w.put_u64(c.interval);
+    w.put_u8(c.backtrack ? 1 : 0);
+    w.put_u8(static_cast<u8>(c.pic));
+    w.put_u8(static_cast<u8>(c.set));
+  }
+  w.put_u64(ex.clock_interval);
+  w.put_u64(ex.clock_hz);
+  w.put_u64(ex.page_size);
+  w.put_u64(ex.ec_line_size);
+  w.put_u64(ex.total_cycles);
+  w.put_u64(ex.total_instructions);
+  w.put_u32(static_cast<u32>(ex.slices.size()));
+  for (const auto& s : ex.slices) {
+    w.put_u64(s.live_cycles);
+    w.put_u64(s.switches);
+  }
+}
+
+void get_run_header(ByteReader& r, Experiment& ex) {
+  // A run records at most one counter per event type; a larger count means
+  // the header is corrupt and must not drive allocation.
+  const u32 nc = r.get_u32();
+  DSP_CHECK(nc <= machine::kNumHwEvents,
+            "implausible counter count " + std::to_string(nc) + " in header");
+  ex.counters.assign(nc, CounterSpec{});
+  for (auto& c : ex.counters) {
+    const u8 event = r.get_u8();
+    DSP_CHECK(event < machine::kNumHwEvents,
+              "counter event " + std::to_string(event) + " out of range in header");
+    c.event = static_cast<machine::HwEvent>(event);
+    c.interval = r.get_u64();
+    c.backtrack = r.get_u8() != 0;
+    c.pic = r.get_u8();
+    c.set = r.get_u8();
+  }
+  ex.clock_interval = r.get_u64();
+  ex.clock_hz = r.get_u64();
+  ex.page_size = r.get_u64();
+  ex.ec_line_size = r.get_u64();
+  DSP_CHECK(ex.page_size != 0 && ex.ec_line_size != 0,
+            "zero page or E$ line size in header");
+  ex.total_cycles = r.get_u64();
+  ex.total_instructions = r.get_u64();
+  // Sets partition the counters, so there are never more sets than counters.
+  const u32 ns = r.get_u32();
+  DSP_CHECK(ns <= nc, "implausible slice-table set count " + std::to_string(ns) +
+                          " in header (only " + std::to_string(nc) + " counters)");
+  ex.slices.assign(ns, SliceInfo{});
+  for (auto& s : ex.slices) {
+    s.live_cycles = r.get_u64();
+    s.switches = r.get_u64();
+  }
+}
+
+void Experiment::save(const std::string& dir) const {
   std::filesystem::create_directories(dir);
 
   write_file(dir + "/log.txt", std::vector<u8>(log.begin(), log.end()));
@@ -205,25 +138,11 @@ void Experiment::save(const std::string& dir, FileFormat format) const {
   image.serialize(lo);
   write_file(dir + "/loadobjects.bin", lo.bytes());
 
-  // A run that never multiplexed writes the pre-multiplexing magic and
-  // layout byte for byte; only a populated slice table switches to the
-  // sibling magic that carries set ids and the slice table.
-  const bool mpx = !slices.empty();
   ByteWriter w;
-  if (format == FileFormat::Legacy) {
-    w.put_u32(mpx ? kMagicLegacyMpx : kMagicLegacy);
-    put_header(w, *this, mpx);
-    put_events_legacy(w, events, mpx);
-  } else if (format == FileFormat::Columnar) {
-    w.put_u32(mpx ? kMagicColumnarMpx : kMagicColumnar);
-    put_header(w, *this, mpx);
-    events.serialize(w, mpx);
-  } else {
-    w.put_u32(mpx ? kMagicAlignedMpx : kMagicAligned);
-    put_header(w, *this, mpx);
-    events.serialize_aligned(w, mpx);
-  }
-  put_trailer(w, *this, /*with_site=*/format == FileFormat::ColumnarAligned);
+  w.put_u32(kMagic);
+  put_run_header(w, *this);
+  events.serialize_aligned(w);
+  put_trailer(w, *this);
   write_file(dir + "/events.bin", w.bytes());
 }
 
@@ -245,27 +164,13 @@ Experiment Experiment::load(const std::string& dir) {
   }
 
   try {
-    // One read-only mapping serves every layout (a buffered read on
-    // platforms without mmap); only the "DSPG" path keeps it alive past
-    // load() by handing the EventStore zero-copy views into it.
     const auto mf = MappedFile::open(dir + "/events.bin");
     ByteReader r(mf->data(), mf->size());
-    const u32 magic = r.get_u32();
-    DSP_CHECK(magic == kMagicAligned || magic == kMagicColumnar || magic == kMagicLegacy ||
-                  magic == kMagicAlignedMpx || magic == kMagicColumnarMpx ||
-                  magic == kMagicLegacyMpx,
-              "bad events.bin magic (expected DSPG/DSPF/DSPE or multiplexed DSPJ/DSPI/DSPH)");
-    const bool mpx =
-        magic == kMagicAlignedMpx || magic == kMagicColumnarMpx || magic == kMagicLegacyMpx;
-    get_header(r, ex, mpx);
-    if (magic == kMagicAligned || magic == kMagicAlignedMpx) {
-      ex.events = EventStore::deserialize_aligned(r, mmap_enabled() ? mf : nullptr, mpx);
-    } else if (magic == kMagicColumnar || magic == kMagicColumnarMpx) {
-      ex.events = EventStore::deserialize(r, /*rebuild_intern=*/true, /*with_set=*/mpx);
-    } else {
-      get_events_legacy(r, ex.events, mpx);
-    }
-    get_trailer(r, ex, /*with_site=*/magic == kMagicAligned || magic == kMagicAlignedMpx);
+    DSP_CHECK(r.get_u32() == kMagic, "bad events.bin magic (expected DSPJ)");
+    get_run_header(r, ex);
+    check_file_header(ex);
+    ex.events = EventStore::deserialize_aligned(r, mf);
+    get_trailer(r, ex);
     DSP_CHECK(r.at_end(), std::to_string(r.remaining()) + " trailing byte(s) after trailer");
   } catch (const Error& e) {
     fail("corrupt experiment events.bin in '" + dir + "': " + e.what());

@@ -4,21 +4,15 @@
 // save()/load() provide the on-disk directory form.
 //
 // Events are held in a columnar EventStore (event_store.hpp): one column per
-// field, callstacks interned into a shared arena. The on-disk events.bin has
-// three layouts: the aligned columnar "DSPG" layout (written by default;
-// every column payload 8-byte aligned so load() can mmap the file and hand
-// out zero-copy column views), the unaligned columnar "DSPF" layout, and the
-// seed's row-oriented "DSPE" layout — load() auto-detects all three, and
-// save(..., FileFormat::...) still writes the older two for compatibility.
-// DSPROF_MMAP=0 disables the zero-copy path (DSPG files are then streamed
-// through the same validation into an owning store).
+// field, callstacks interned into a shared arena. events.bin has one layout,
+// magic "DSPJ": the run header (put_run_header below), the EventStore's
+// 8-byte-aligned columns including the per-event counter-set column, and a
+// trailer of allocations (with their site PCs) and ground-truth records.
+// load() maps the file and hands out zero-copy column views into it. A run
+// that did not multiplex stores an empty slice table and a zero set column.
 //
-// Multiplexed runs (more counters than PIC registers, rotated across time
-// slices) save under sibling magics — "DSPJ"/"DSPI"/"DSPH" — that extend
-// each layout with a per-counter set id, a per-event set column, and a
-// slice table (set -> live cycles, switches). A run that does not multiplex
-// always writes the original magic byte for byte, and loading an original
-// file yields one always-live set — both directions of strict back-compat.
+// The run header is also the tail of the dsprofd wire Hello (serve/wire.hpp):
+// one codec, one set of bounds checks for both trust boundaries.
 #pragma once
 
 #include <array>
@@ -50,32 +44,6 @@ struct SliceInfo {
   u64 switches = 0;
 };
 
-/// A materialized (row-form) profile event. The store of record is the
-/// columnar EventStore; this struct remains for the legacy on-disk layout
-/// and for call sites that want an owning copy of one event.
-struct EventRecord {
-  u8 pic = 0;  // 0/1, or machine::kClockPic for clock-profile samples
-  machine::HwEvent event = machine::HwEvent::Cycle_cnt;
-  u64 weight = 0;  // overflow interval: estimated events per sample
-  u64 delivered_pc = 0;
-  bool has_candidate = false;
-  u64 candidate_pc = 0;
-  bool has_ea = false;
-  u64 ea = 0;
-  /// Call-site PCs at delivery, outermost first (for callers/callees and
-  /// inclusive metrics).
-  std::vector<u64> callstack;
-  u64 seq = 0;  // joins with the machine's ground-truth log (tests only)
-  u8 set = 0;   // multiplexed counter set the event was recorded under
-};
-
-/// On-disk events.bin layouts.
-enum class FileFormat {
-  ColumnarAligned,  // current: "DSPG" 8-byte-aligned columns, mmap-able
-  Columnar,         // "DSPF" columns + callstack arena (unaligned)
-  Legacy,           // seed: "DSPE" row-oriented records
-};
-
 struct Experiment {
   std::string log;  // human-readable collection log
   sym::Image image;
@@ -87,13 +55,12 @@ struct Experiment {
 
   EventStore events;
   /// Heap allocations in order — for the instance view. `site_pc` names the
-  /// allocation call site ("DSPG" files carry it; older layouts load as 0).
+  /// allocation call site.
   std::vector<machine::AllocRecord> allocations;
 
   /// Slice table of a multiplexed run, indexed by counter set. Empty means
-  /// the run did not multiplex: one set, live for all of total_cycles —
-  /// exactly what every pre-multiplexing experiment file loads as, so the
-  /// renormalizing reduction scales by 1.0 bit-identically.
+  /// the run did not multiplex: one set, live for all of total_cycles, so
+  /// the renormalizing reduction scales by 1.0 bit-identically.
   std::vector<SliceInfo> slices;
 
   bool multiplexed() const { return slices.size() > 1; }
@@ -110,18 +77,24 @@ struct Experiment {
     return static_cast<double>(cycles) / static_cast<double>(clock_hz);
   }
 
-  /// Append a materialized record into the columnar store.
-  void add_event(const EventRecord& e) {
-    events.append(e.pic, e.event, e.weight, e.delivered_pc, e.has_candidate, e.candidate_pc,
-                  e.has_ea, e.ea, e.callstack.data(), e.callstack.size(), e.seq, e.set);
-  }
-
   /// Write the experiment directory (log.txt, loadobjects.bin, events.bin).
-  void save(const std::string& dir, FileFormat format = FileFormat::ColumnarAligned) const;
-  /// Read an experiment directory; auto-detects the events.bin layout.
-  /// "DSPG" files are mmap'd for zero-copy column views unless DSPROF_MMAP=0
-  /// (or the platform cannot map, in which case the stream loader runs).
+  void save(const std::string& dir) const;
+  /// Read an experiment directory. events.bin is mapped read-only (a
+  /// buffered read where the platform cannot map) and validated before its
+  /// columns are adopted as zero-copy views; any structural problem is an
+  /// Error naming the file and directory.
   static Experiment load(const std::string& dir);
 };
+
+/// The run header: counter specs (with set ids), clock, machine geometry,
+/// run totals and the slice table. get_run_header() rejects what would
+/// break the analyzer — more than kNumHwEvents counters (checked before
+/// anything is allocated), a counter event outside HwEvent, a zero page or
+/// E$ line size, more slice-table entries than counters — and replaces the
+/// header fields of `ex`. It does not require a counter's set id to index
+/// the slice table: a live collector announces its multiplexed counters
+/// before any slice has run. Experiment::load adds the file-only bounds.
+void put_run_header(ByteWriter& w, const Experiment& ex);
+void get_run_header(ByteReader& r, Experiment& ex);
 
 }  // namespace dsprof::experiment

@@ -48,29 +48,15 @@ Status Client::recv_expect(FrameType want, Frame& out) {
   }
 }
 
-Status Client::hello(const HelloPayload& h, u64& session_id) {
-  const std::vector<u8> bytes = encode_frame(FrameType::Hello, encode_hello(h));
+Status Client::hello(const experiment::Experiment& ex, u64& session_id) {
+  const std::vector<u8> bytes =
+      encode_frame(FrameType::Hello, encode_hello(opt_.client_name, ex));
   if (Status st = transport_->send(bytes.data(), bytes.size()); !st.ok()) return st;
   Frame ack;
   if (Status st = recv_expect(FrameType::HelloAck, ack); !st.ok()) return st;
   if (Status st = decode_hello_ack(ack.payload, session_id); !st.ok()) return st;
   session_id_ = session_id;
   return {};
-}
-
-Status Client::hello(const experiment::Experiment& ex, u64& session_id) {
-  HelloPayload h;
-  h.client_name = opt_.client_name;
-  h.image = ex.image;
-  h.counters = ex.counters;
-  h.clock_interval = ex.clock_interval;
-  h.clock_hz = ex.clock_hz;
-  h.page_size = ex.page_size;
-  h.ec_line_size = ex.ec_line_size;
-  h.total_cycles = ex.total_cycles;
-  h.total_instructions = ex.total_instructions;
-  h.slices = ex.slices;
-  return hello(h, session_id);
 }
 
 Status Client::send_batch(const experiment::EventStore& events, size_t begin, size_t end) {

@@ -38,16 +38,14 @@ class Client {
   explicit Client(std::unique_ptr<Transport> transport, ClientOptions options = {});
   ~Client();
 
-  /// Handshake; fills `session_id` from the HelloAck.
-  Status hello(const HelloPayload& h, u64& session_id);
-
-  /// Convenience: build the HelloPayload from an experiment's context.
+  /// Handshake announcing `ex`'s image and run header (its events are not
+  /// sent); fills `session_id` from the HelloAck.
   Status hello(const experiment::Experiment& ex, u64& session_id);
 
   /// Stream events [begin, end) of `events` as one EventBatch frame,
-  /// serialized straight from the source store's columns (serialize_range —
-  /// no intermediate sub-store). Fire-and-forget: blocks only on transport
-  /// backpressure.
+  /// serialized straight from the source store's columns
+  /// (serialize_range_aligned — no intermediate sub-store). Fire-and-forget:
+  /// blocks only on transport backpressure.
   Status send_batch(const experiment::EventStore& events, size_t begin, size_t end);
   Status send_batch(const experiment::EventStore& events) {
     return send_batch(events, 0, events.size());

@@ -229,18 +229,9 @@ void Server::reader_main(Session& s) {
       case FrameType::Hello: {
         if (s.hello_done)
           return Status::make(StatusCode::Refused, "duplicate Hello");
-        HelloPayload h;
-        if (Status st = decode_hello(f.payload, h); !st.ok()) return st;
-        s.ex.log = "dsprofd streamed session from '" + h.client_name + "'";
-        s.ex.image = std::move(h.image);
-        s.ex.counters = h.counters;
-        s.ex.clock_interval = h.clock_interval;
-        s.ex.clock_hz = h.clock_hz;
-        s.ex.page_size = h.page_size;
-        s.ex.ec_line_size = h.ec_line_size;
-        s.ex.total_cycles = h.total_cycles;
-        s.ex.total_instructions = h.total_instructions;
-        s.ex.slices = h.slices;
+        std::string client_name;
+        if (Status st = decode_hello(f.payload, client_name, s.ex); !st.ok()) return st;
+        s.ex.log = "dsprofd streamed session from '" + client_name + "'";
         s.reducer = std::make_unique<analyze::IncrementalReducer>(s.ex.image.symtab,
                                                                   s.ex.counters);
         {
@@ -459,7 +450,7 @@ void Server::reducer_main(Session& s) {
     try {
       s.reducer->fold(batch, 0, batch.size());
     } catch (const Error&) {
-      // Defensive: EventStore::deserialize already validated the batch, but
+      // Defensive: deserialize_aligned already validated the batch, but
       // a long-lived daemon must not die on a fold invariant. The batch is
       // accounted as dropped (fold bumps its counter only on success), so
       // events_in == events_reduced + events_dropped still holds.

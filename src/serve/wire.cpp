@@ -115,66 +115,21 @@ Status guarded_decode(const char* what, Fn&& fn) {
 
 }  // namespace
 
-std::vector<u8> encode_hello(const HelloPayload& h) {
+std::vector<u8> encode_hello(const std::string& client_name, const experiment::Experiment& ex) {
   ByteWriter w;
-  w.put_string(h.client_name);
-  h.image.serialize(w);
-  w.put_u32(static_cast<u32>(h.counters.size()));
-  for (const auto& c : h.counters) {
-    w.put_u8(static_cast<u8>(c.event));
-    w.put_u64(c.interval);
-    w.put_u8(c.backtrack ? 1 : 0);
-    w.put_u8(static_cast<u8>(c.pic));
-    w.put_u8(static_cast<u8>(c.set));
-  }
-  w.put_u64(h.clock_interval);
-  w.put_u64(h.clock_hz);
-  w.put_u64(h.page_size);
-  w.put_u64(h.ec_line_size);
-  w.put_u64(h.total_cycles);
-  w.put_u64(h.total_instructions);
-  w.put_u32(static_cast<u32>(h.slices.size()));
-  for (const auto& s : h.slices) {
-    w.put_u64(s.live_cycles);
-    w.put_u64(s.switches);
-  }
+  w.put_string(client_name);
+  ex.image.serialize(w);
+  experiment::put_run_header(w, ex);
   return w.take();
 }
 
-Status decode_hello(const std::vector<u8>& payload, HelloPayload& out) {
+Status decode_hello(const std::vector<u8>& payload, std::string& client_name,
+                    experiment::Experiment& ex) {
   return guarded_decode("hello", [&] {
     ByteReader r(payload);
-    out.client_name = r.get_string();
-    out.image = sym::Image::deserialize(r);
-    const u32 n = r.get_u32();
-    out.counters.clear();
-    out.counters.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
-      experiment::CounterSpec c;
-      c.event = static_cast<machine::HwEvent>(r.get_u8());
-      c.interval = r.get_u64();
-      c.backtrack = r.get_u8() != 0;
-      c.pic = r.get_u8();
-      c.set = r.get_u8();
-      out.counters.push_back(c);
-    }
-    out.clock_interval = r.get_u64();
-    out.clock_hz = r.get_u64();
-    out.page_size = r.get_u64();
-    out.ec_line_size = r.get_u64();
-    out.total_cycles = r.get_u64();
-    out.total_instructions = r.get_u64();
-    const u32 ns = r.get_u32();
-    DSP_CHECK(ns <= machine::kNumHwEvents,
-              "implausible slice-table set count " + std::to_string(ns) + " in hello");
-    out.slices.clear();
-    out.slices.reserve(ns);
-    for (u32 i = 0; i < ns; ++i) {
-      experiment::SliceInfo s;
-      s.live_cycles = r.get_u64();
-      s.switches = r.get_u64();
-      out.slices.push_back(s);
-    }
+    client_name = r.get_string();
+    ex.image = sym::Image::deserialize(r);
+    experiment::get_run_header(r, ex);
     DSP_CHECK(r.at_end(), "trailing bytes after hello payload");
   });
 }
@@ -193,19 +148,16 @@ Status decode_hello_ack(const std::vector<u8>& payload, u64& session_id) {
   });
 }
 
-// v4 frames always carry the set column (zero-filled when the client did
-// not multiplex): the wire owes no byte-compat to v3, and an unconditional
-// column keeps the codec single-layout.
 std::vector<u8> encode_event_batch(const experiment::EventStore& events) {
   ByteWriter w;
-  events.serialize_aligned(w, /*with_set=*/true);
+  events.serialize_aligned(w);
   return w.take();
 }
 
 std::vector<u8> encode_event_batch(const experiment::EventStore& events, size_t begin,
                                    size_t end) {
   ByteWriter w;
-  events.serialize_range_aligned(w, begin, end, /*with_set=*/true);
+  events.serialize_range_aligned(w, begin, end);
   return w.take();
 }
 
@@ -215,11 +167,11 @@ Status decode_event_batch(std::vector<u8>&& payload, experiment::EventStore& out
     // column views point straight at it. The aligned layout guarantees the
     // u64/u32 columns sit on 8-byte offsets, and a heap vector's data() is
     // at least 8-aligned, so the views are properly aligned. Validation
-    // (column-length agreement, every callstack handle) runs inside
-    // deserialize_aligned before the views are adopted.
+    // (column-length agreement, event ids, every callstack handle) runs
+    // inside deserialize_aligned before the views are adopted.
     const auto keep = std::make_shared<const std::vector<u8>>(std::move(payload));
     ByteReader r(*keep);
-    out = experiment::EventStore::deserialize_aligned(r, keep, /*with_set=*/true);
+    out = experiment::EventStore::deserialize_aligned(r, keep);
     DSP_CHECK(r.at_end(), "trailing bytes after event batch payload");
   });
 }

@@ -13,26 +13,23 @@
 //                           columnar EventBatch layout so the daemon folds
 //                           straight out of the frame bytes; v2 grew an
 //                           allocation-site PC on Alloc entries. Peers on
-//                           another version are rejected. Unlike the on-disk
-//                           formats, the wire has no byte-compat obligation —
-//                           the invariant covers reports and snapshots, not
-//                           socket bytes — so v4 frames carry the set column
-//                           unconditionally, zero-filled when the client did
-//                           not multiplex)
+//                           another version are rejected. The set column is
+//                           unconditional, zero-filled when the client did
+//                           not multiplex, exactly as in events.bin)
 //        5     1  type      FrameType
 //        6     2  flags     frame-type specific (SnapshotReq bit 0 =
 //                           merged fleet view; 0 everywhere else)
 //        8     4  len       payload length; <= kMaxPayload (64 MB)
 //       12   len  payload   type-specific encoding (below)
 //
-// Payload encodings reuse the experiment layer's ByteWriter/ByteReader and,
-// for event batches, the EventStore aligned columnar (DSPG-style) codec
-// itself — the batch bytes on the wire are the same 8-byte-aligned columns
-// events.bin stores on disk, so the corruption hardening applies to the
-// socket too, and the receiver adopts the columns as zero-copy views into
-// the frame payload (no per-event decode work). The decoders here convert
-// any bytestream Error into Status{Malformed}: a hostile client can kill
-// its session, never the daemon.
+// Payload encodings reuse the experiment layer's codecs: the Hello's run
+// context is the events.bin run header (experiment::put_run_header) and an
+// event batch is the EventStore aligned columnar codec — the same
+// 8-byte-aligned columns events.bin stores on disk. The bounds checks of
+// both therefore apply to the socket too, and the receiver adopts a batch's
+// columns as zero-copy views into the frame payload (no per-event decode
+// work). The decoders here convert any Error into Status{Malformed}: a
+// hostile client can kill its session, never the daemon.
 //
 // Conversation (client side):
 //   Hello -> HelloAck, then any number of EventBatch / Alloc frames,
@@ -126,45 +123,32 @@ class FrameReader {
 // Encoders return the payload bytes; decoders return Status and never throw
 // (bytestream underruns are caught and mapped to Malformed).
 
-/// Handshake: everything Analysis needs as rendering context besides the
-/// events themselves — the image (symbol tables), counter specs (backtrack
-/// flags select the attribution path), clock and machine geometry, and the
-/// run totals when the client replays a finished collection.
-struct HelloPayload {
-  std::string client_name;
-  sym::Image image;
-  std::vector<experiment::CounterSpec> counters;
-  u64 clock_interval = 0;
-  u64 clock_hz = 900'000'000;
-  u64 page_size = 8 * 1024;
-  u64 ec_line_size = 512;
-  u64 total_cycles = 0;
-  u64 total_instructions = 0;
-  /// Multiplexing slice table (set -> live cycles, switches); empty when the
-  /// client did not multiplex. The server stores it on the session experiment
-  /// so snapshot renders apply the same renormalization an offline analysis
-  /// of the saved experiment would.
-  std::vector<experiment::SliceInfo> slices;
-};
-
-std::vector<u8> encode_hello(const HelloPayload& h);
-Status decode_hello(const std::vector<u8>& payload, HelloPayload& out);
+/// Handshake: the client name, the image (symbol tables), then the run
+/// header of `ex` (experiment::put_run_header: counter specs with set ids,
+/// clock, machine geometry, run totals and the slice table) — everything
+/// Analysis needs as rendering context besides the events themselves.
+/// decode_hello fills those fields of `ex` and leaves the rest alone; the
+/// server keeps the slice table so snapshot renders apply the same
+/// renormalization an offline analysis of the saved experiment would.
+std::vector<u8> encode_hello(const std::string& client_name, const experiment::Experiment& ex);
+Status decode_hello(const std::vector<u8>& payload, std::string& client_name,
+                    experiment::Experiment& ex);
 
 std::vector<u8> encode_hello_ack(u64 session_id);
 Status decode_hello_ack(const std::vector<u8>& payload, u64& session_id);
 
-/// Event batches are the EventStore aligned columnar codec verbatim. The
-/// range form is the client's batch slicer: it emits events [begin, end)
-/// directly from the source store (serialize_range_aligned — handles
-/// remapped with one probe per event) without materializing an intermediate
-/// sub-store.
+/// Event batches are the EventStore aligned columnar codec verbatim, the
+/// events.bin column section. The range form is the client's batch slicer:
+/// it emits events [begin, end) directly from the source store
+/// (serialize_range_aligned — handles remapped with one probe per event)
+/// without materializing an intermediate sub-store.
 std::vector<u8> encode_event_batch(const experiment::EventStore& events);
 std::vector<u8> encode_event_batch(const experiment::EventStore& events, size_t begin,
                                    size_t end);
 /// Zero-copy decode: the payload is moved into the store as its backing
-/// storage and the columns become views into it — no per-event work. The
-/// result is frozen and mapped (fold/serialize fine, append an error),
-/// which is all the daemon needs for fold-and-discard.
+/// storage and the columns become views into it after validation. The
+/// result is mapped (fold/serialize fine, append an error), which is all
+/// the daemon needs for fold-and-discard.
 Status decode_event_batch(std::vector<u8>&& payload, experiment::EventStore& out);
 
 std::vector<u8> encode_allocs(const std::vector<machine::AllocRecord>& allocs);

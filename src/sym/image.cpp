@@ -37,6 +37,8 @@ Image Image::deserialize(ByteReader& r) {
   Image img;
   img.text_base = r.get_u64();
   const u32 n = r.get_u32();
+  // Bound the count by the bytes present before it drives allocation.
+  DSP_CHECK(n <= r.remaining() / 4, "text word count exceeds the image bytes");
   img.text_words.reserve(n);
   for (u32 i = 0; i < n; ++i) img.text_words.push_back(r.get_u32());
   img.data_base = r.get_u64();

@@ -129,6 +129,12 @@ TypeTable TypeTable::deserialize(ByteReader& r) {
     t.name = r.get_string();
     t.size = r.get_u64();
     t.underlying = r.get_u32();
+    // add_alias/add_pointer only refer to existing types, so the chain
+    // type_string() follows always ends; a hostile table must not loop.
+    DSP_CHECK((t.kind != TypeKind::Alias && t.kind != TypeKind::Pointer) ||
+                  t.underlying < tt.types_.size(),
+              "type " + std::to_string(i) + " refers forward to type " +
+                  std::to_string(t.underlying));
     const u32 nm = r.get_u32();
     for (u32 j = 0; j < nm; ++j) {
       Member m;

@@ -1,12 +1,12 @@
-// Columnar EventStore: callstack-arena interning, save/load round trips in
-// all three on-disk layouts (including the zero-copy mmap'd DSPG path), and
-// bit-identity of the product reduction against the seed-equivalent
-// std::map oracle (tests/reduce_oracle.hpp) on collected and random stores
-// and across the mapped-vs-streamed loaders.
+// Columnar EventStore: callstack-arena interning, the aligned columnar codec
+// and events.bin save/load round trips (the zero-copy mapped load), the
+// loader's rejection of corrupt files, and bit-identity of the product
+// reduction against the seed-equivalent std::map oracle
+// (tests/reduce_oracle.hpp) on collected, mapped and random stores.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <random>
 
 #include "analyze/reports.hpp"
@@ -151,13 +151,23 @@ TEST(EventStore, ViewsMaterializeEveryField) {
   EXPECT_EQ(n, 2u);
 }
 
+/// Encode `s` with the aligned codec and decode it as a mapped store over a
+/// shared copy of the bytes (the wire batch decode path).
+EventStore aligned_round_trip(const EventStore& s) {
+  ByteWriter w;
+  s.serialize_aligned(w);
+  const auto bytes = std::make_shared<const std::vector<u8>>(w.take());
+  ByteReader r(*bytes);
+  EventStore back = EventStore::deserialize_aligned(r, bytes);
+  EXPECT_TRUE(r.at_end());
+  return back;
+}
+
 TEST(EventStore, SerializeRoundTripPreservesEverything) {
   const std::vector<u64> a = {1, 2, 3}, b = {9};
   EventStore s = make_store({a, b, a, {}, b});
-  ByteWriter w;
-  s.serialize(w);
-  ByteReader r(w.bytes());
-  const EventStore back = EventStore::deserialize(r);
+  const EventStore back = aligned_round_trip(s);
+  ASSERT_TRUE(back.is_mapped());
   ASSERT_EQ(back.size(), s.size());
   EXPECT_EQ(back.unique_callstacks(), s.unique_callstacks());
   EXPECT_EQ(back.arena_words(), s.arena_words());
@@ -173,22 +183,25 @@ TEST(EventStore, SerializeRoundTripPreservesEverything) {
     EXPECT_EQ(x.ea, y.ea);
     EXPECT_TRUE(x.callstack == y.callstack);
     EXPECT_EQ(x.seq, y.seq);
+    EXPECT_EQ(x.set, y.set);
   }
-  // A deserialized store keeps interning: appending a known stack reuses it.
-  EventStore back2 = back;
-  back2.append(0, HwEvent::EC_rd_miss, 1, 1, false, 0, false, 0, a.data(), a.size(), 99);
-  EXPECT_EQ(back2.unique_callstacks(), back.unique_callstacks());
-  EXPECT_EQ(back2.arena_words(), back.arena_words());
+  // A decoded store is read-only; copied into an owning store it interns
+  // again, so appending a known stack reuses its arena range.
+  EventStore live;
+  live.append_store(back);
+  live.append(0, HwEvent::EC_rd_miss, 1, 1, false, 0, false, 0, a.data(), a.size(), 99);
+  EXPECT_EQ(live.unique_callstacks(), s.unique_callstacks());
+  EXPECT_EQ(live.arena_words(), s.arena_words());
 }
 
 TEST(EventStore, TruncatedStreamIsRejected) {
   EventStore s = make_store({{1, 2}, {3}});
   ByteWriter w;
-  s.serialize(w);
-  std::vector<u8> bytes = w.bytes();
-  bytes.resize(bytes.size() / 2);
-  ByteReader r(bytes);
-  EXPECT_THROW(EventStore::deserialize(r), Error);
+  s.serialize_aligned(w);
+  auto bytes = std::make_shared<std::vector<u8>>(w.take());
+  bytes->resize(bytes->size() / 2);
+  ByteReader r(*bytes);
+  EXPECT_THROW(EventStore::deserialize_aligned(r, bytes), Error);
 }
 
 // --- corruption robustness ---------------------------------------------------
@@ -196,65 +209,7 @@ TEST(EventStore, TruncatedStreamIsRejected) {
 // names the offending file — never as UB, an OOM-sized allocation, or an
 // uncontextualized bounds failure.
 
-template <typename T>
-void put_col(ByteWriter& w, const std::vector<T>& col) {
-  w.put_u64(col.size());
-  w.put_blob(col.data(), col.size() * sizeof(T));
-}
-
-TEST(EventStoreCorruption, OutOfRangeArenaHandleIsRejected) {
-  ByteWriter w;
-  put_col<u8>(w, {0});        // pic
-  put_col<u8>(w, {3});        // event
-  put_col<u64>(w, {1});       // weight
-  put_col<u64>(w, {0x1000});  // delivered_pc
-  put_col<u8>(w, {0});        // flags
-  put_col<u64>(w, {0});       // candidate_pc
-  put_col<u64>(w, {0});       // ea
-  put_col<u64>(w, {0});       // seq
-  put_col<u64>(w, {4});       // cs_offset: outside the 1-word arena below
-  put_col<u32>(w, {2});       // cs_len
-  put_col<u64>(w, {0xdead});  // arena (1 word)
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
-}
-
-TEST(EventStoreCorruption, WrappingArenaHandleIsRejected) {
-  // offset + len wraps past 2^64: the overflow-safe form must still reject.
-  ByteWriter w;
-  put_col<u8>(w, {0});
-  put_col<u8>(w, {3});
-  put_col<u64>(w, {1});
-  put_col<u64>(w, {0x1000});
-  put_col<u8>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {~u64{0}});  // cs_offset near 2^64
-  put_col<u32>(w, {8});        // cs_len: offset + len wraps
-  put_col<u64>(w, {0xdead});
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
-}
-
-TEST(EventStoreCorruption, InconsistentColumnLengthsAreRejected) {
-  ByteWriter w;
-  put_col<u8>(w, {0, 0});  // pic: two rows
-  put_col<u8>(w, {3});     // every other column: one row
-  put_col<u64>(w, {1});
-  put_col<u64>(w, {0x1000});
-  put_col<u8>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u32>(w, {0});
-  put_col<u64>(w, {});
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
-}
-
-class ExperimentCorruption : public ::testing::Test {
+class AlignedCorruption : public ::testing::Test {
  protected:
   static Experiment tiny_experiment() {
     scc::Module m;
@@ -270,13 +225,40 @@ class ExperimentCorruption : public ::testing::Test {
     return ex;
   }
 
+  /// tiny_experiment() as a multiplexed run: two counter sets, a two-entry
+  /// slice table in the header and events stamped with both set ids.
+  static Experiment tiny_multiplexed_experiment() {
+    Experiment ex = tiny_experiment();
+    CounterSpec ec;
+    ec.event = HwEvent::EC_rd_miss;
+    ec.interval = 1009;
+    CounterSpec dc = ec;
+    dc.event = HwEvent::DC_rd_miss;
+    dc.set = 1;
+    ex.counters = {ec, dc};
+    ex.slices = {{600, 3}, {400, 2}};
+    ex.total_cycles = 1000;
+    ex.events = EventStore{};
+    const std::vector<u64> stack = {0x10, 0x20};
+    for (u64 seq = 0; seq < 4; ++seq) {
+      const u8 set = static_cast<u8>(seq % 2);
+      ex.events.append(/*pic=*/0, set ? dc.event : ec.event, /*weight=*/1009,
+                       /*delivered_pc=*/0x1000 + seq, /*has_candidate=*/false, 0,
+                       /*has_ea=*/true, /*ea=*/0x8000 + 8 * seq, stack.data(), stack.size(), seq,
+                       set);
+    }
+    return ex;
+  }
+
   /// Save `ex`, apply `mutate` to the bytes of `file`, and expect load() to
-  /// throw an Error whose message names the file and the directory.
-  static void expect_corrupt(const Experiment& ex, FileFormat fmt, const char* file,
-                             const std::function<void(std::vector<u8>&)>& mutate) {
+  /// throw an Error whose message names the file and the directory (and
+  /// `what`, when given).
+  static void expect_corrupt(const Experiment& ex, const char* file,
+                             const std::function<void(std::vector<u8>&)>& mutate,
+                             const std::string& what = "") {
     const testfix::ScopedTempDir tmp;
     const std::string dir = tmp.path("exp");
-    ex.save(dir, fmt);
+    ex.save(dir);
     std::vector<u8> bytes = read_file(dir + "/" + file);
     mutate(bytes);
     write_file(dir + "/" + file, bytes);
@@ -287,131 +269,43 @@ class ExperimentCorruption : public ::testing::Test {
       const std::string msg = e.what();
       EXPECT_NE(msg.find(file), std::string::npos) << msg;
       EXPECT_NE(msg.find(dir), std::string::npos) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
     }
   }
-};
-
-TEST_F(ExperimentCorruption, BadMagicIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b[0] ^= 0xFF; });
-}
-
-TEST_F(ExperimentCorruption, TruncatedHeaderIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b.resize(6); });
-}
-
-TEST_F(ExperimentCorruption, ImplausibleCounterCountIsRejected) {
-  // The 32-bit counter count sits right after the magic; a huge value must be
-  // rejected by the plausibility check, not drive allocation.
-  for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
-    expect_corrupt(tiny_experiment(), fmt, "events.bin", [](std::vector<u8>& b) {
-      b[4] = b[5] = b[6] = b[7] = 0xFF;
-    });
+  static void expect_corrupt(const char* file,
+                             const std::function<void(std::vector<u8>&)>& mutate) {
+    expect_corrupt(tiny_experiment(), file, mutate);
   }
-}
-
-TEST_F(ExperimentCorruption, TruncatedColumnIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
-}
-
-TEST_F(ExperimentCorruption, TruncatedLegacyEventsAreRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Legacy, "events.bin",
-                 [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
-}
-
-TEST_F(ExperimentCorruption, HugeLegacyEventCountIsRejectedBeforeAllocation) {
-  // Header with zero counters is 52 bytes; the legacy event count follows at
-  // offset 56. A count far beyond the bytes present must fail the
-  // min-record-size plausibility check (and must not reserve gigabytes).
-  expect_corrupt(tiny_experiment(), FileFormat::Legacy, "events.bin",
-                 [](std::vector<u8>& b) {
-                   ASSERT_GE(b.size(), 60u);
-                   b[56] = 0xFF;
-                   b[57] = 0xFF;
-                   b[58] = 0xFF;
-                   b[59] = 0x7F;
-                 });
-}
-
-TEST_F(ExperimentCorruption, TrailingBytesAfterTrailerAreRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b.push_back(0); });
-}
-
-TEST_F(ExperimentCorruption, CorruptLoadobjectsIsRejectedWithContext) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "loadobjects.bin",
-                 [](std::vector<u8>& b) { b.resize(b.size() / 2); });
-}
-
-TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
-  const Experiment ex = tiny_experiment();
-  const testfix::ScopedTempDir tmp;
-  for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
-    const std::string dir = tmp.path("exp");
-    ex.save(dir, fmt);
-    const Experiment back = Experiment::load(dir);
-    ASSERT_EQ(back.events.size(), ex.events.size());
-    for (size_t i = 0; i < ex.events.size(); ++i) {
-      EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
-    }
-  }
-}
-
-// --- corruption hardening over the zero-copy aligned layout ------------------
-// Every mutation above must also be rejected by the DSPG path — both by the
-// mmap'd view validation (DSPROF_MMAP unset) and by the stream fallback
-// (DSPROF_MMAP=0). RAII env guard so a failing assertion cannot leak the
-// override into later tests.
-
-class ScopedMmapEnv {
- public:
-  explicit ScopedMmapEnv(const char* value) {
-    const char* old = std::getenv("DSPROF_MMAP");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) unsetenv("DSPROF_MMAP");
-    else setenv("DSPROF_MMAP", value, 1);
-  }
-  ~ScopedMmapEnv() {
-    if (had_old_) setenv("DSPROF_MMAP", old_.c_str(), 1);
-    else unsetenv("DSPROF_MMAP");
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-class AlignedCorruption : public ExperimentCorruption {
- protected:
-  static void expect_corrupt_both_loaders(
-      const char* file, const std::function<void(std::vector<u8>&)>& mutate) {
-    for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
-      const ScopedMmapEnv env(mm);
-      expect_corrupt(tiny_experiment(), FileFormat::ColumnarAligned, file, mutate);
-    }
+  /// Save `ex` unmodified and expect load() to reject it.
+  static void expect_rejected(const Experiment& ex, const std::string& what) {
+    expect_corrupt(ex, "events.bin", [](std::vector<u8>&) {}, what);
   }
 };
 
 TEST_F(AlignedCorruption, BadMagicIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b[0] ^= 0xFF; });
+  expect_corrupt("events.bin", [](std::vector<u8>& b) { b[0] ^= 0xFF; });
+}
+
+TEST_F(AlignedCorruption, OldLayoutMagicsAreRejected) {
+  // The retired DSPE..DSPI layouts load as a bad magic, not a misparse.
+  for (const u8 letter : {'E', 'F', 'G', 'H', 'I'}) {
+    expect_corrupt(tiny_experiment(), "events.bin",
+                   [letter](std::vector<u8>& b) { b[0] = letter; }, "bad events.bin magic");
+  }
 }
 
 TEST_F(AlignedCorruption, TruncatedHeaderIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b.resize(6); });
+  expect_corrupt("events.bin", [](std::vector<u8>& b) { b.resize(6); });
 }
 
 TEST_F(AlignedCorruption, ImplausibleCounterCountIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) {
-    b[4] = b[5] = b[6] = b[7] = 0xFF;
-  });
+  // The 32-bit counter count sits right after the magic; a huge value must be
+  // rejected by the plausibility check, not drive allocation.
+  expect_corrupt("events.bin", [](std::vector<u8>& b) { b[4] = b[5] = b[6] = b[7] = 0xFF; });
 }
 
 TEST_F(AlignedCorruption, TruncatedColumnIsRejected) {
-  expect_corrupt_both_loaders("events.bin",
-                              [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
+  expect_corrupt("events.bin", [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
 }
 
 TEST_F(AlignedCorruption, HugeColumnCountIsRejectedBeforeAllocation) {
@@ -419,49 +313,206 @@ TEST_F(AlignedCorruption, HugeColumnCountIsRejectedBeforeAllocation) {
   // beyond the bytes present must fail the overflow-safe per-column bound
   // (count <= remaining / sizeof(T)), not drive a huge allocation or an
   // out-of-bounds view.
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) {
-    // Header with zero counters is 4 (magic) + 4 (count) + 48 = 56 bytes;
-    // the pic column count follows.
-    ASSERT_GE(b.size(), 64u);
-    for (size_t i = 56; i < 64; ++i) b[i] = 0xFF;
+  expect_corrupt("events.bin", [](std::vector<u8>& b) {
+    // Header with zero counters and no slice table is 4 (magic) + 4 (count)
+    // + 48 + 4 (slice count) = 60 bytes; the pic column count follows.
+    ASSERT_GE(b.size(), 68u);
+    for (size_t i = 60; i < 68; ++i) b[i] = 0xFF;
   });
 }
 
 TEST_F(AlignedCorruption, TrailingBytesAfterTrailerAreRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b.push_back(0); });
+  expect_corrupt("events.bin", [](std::vector<u8>& b) { b.push_back(0); });
 }
 
 TEST_F(AlignedCorruption, CorruptLoadobjectsIsRejectedWithContext) {
-  expect_corrupt_both_loaders("loadobjects.bin",
-                              [](std::vector<u8>& b) { b.resize(b.size() / 2); });
+  expect_corrupt("loadobjects.bin", [](std::vector<u8>& b) { b.resize(b.size() / 2); });
+}
+
+TEST_F(AlignedCorruption, CounterEventOutOfRangeIsRejected) {
+  // Analysis::compute_scales indexes a per-metric array by the event.
+  Experiment ex = tiny_experiment();
+  CounterSpec c;
+  c.event = static_cast<HwEvent>(machine::kNumHwEvents);
+  ex.counters.push_back(c);
+  expect_rejected(ex, "counter event");
+}
+
+TEST_F(AlignedCorruption, EventIdOutOfRangeIsRejected) {
+  // The fold indexes per-metric arrays by each event's id.
+  Experiment ex = tiny_experiment();
+  ex.events.append(0, static_cast<HwEvent>(0xF0), 1, 0x1000, false, 0, false, 0, nullptr, 0, 9);
+  expect_rejected(ex, "event id 240 out of range");
+}
+
+TEST_F(AlignedCorruption, ZeroPageOrLineSizeIsRejected) {
+  // The page and cache-line views divide by these.
+  Experiment ex = tiny_experiment();
+  ex.page_size = 0;
+  expect_rejected(ex, "zero page or E$ line size");
+  ex = tiny_experiment();
+  ex.ec_line_size = 0;
+  expect_rejected(ex, "zero page or E$ line size");
+}
+
+TEST_F(AlignedCorruption, PlainRunHeaderBoundsAreKept) {
+  // Without a slice table a run has at most one counter per PIC, all in
+  // set 0 (the multiplexed bounds: MultiplexCollect.CorruptSliceTables*).
+  CounterSpec c;
+  c.event = HwEvent::EC_rd_miss;
+  Experiment ex = tiny_experiment();
+  ex.counters.assign(machine::kNumPics + 1, c);
+  expect_rejected(ex, "implausible counter count");
+  ex = tiny_experiment();
+  c.set = 1;
+  ex.counters = {c};
+  expect_rejected(ex, "outside the 0-entry slice table");
 }
 
 TEST_F(AlignedCorruption, AlignedFormatStillRoundTripsAfterHardening) {
   const Experiment ex = tiny_experiment();
   const testfix::ScopedTempDir tmp;
-  for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
-    const ScopedMmapEnv env(mm);
+  const std::string dir = tmp.path("exp");
+  ex.save(dir);
+  const Experiment back = Experiment::load(dir);
+  EXPECT_TRUE(back.events.is_mapped());
+  ASSERT_EQ(back.events.size(), ex.events.size());
+  for (size_t i = 0; i < ex.events.size(); ++i) {
+    EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
+  }
+}
+
+// The same corruptions over a multiplexed run, whose header carries a slice
+// table and whose set column is not all zero: one fixture, both shapes of
+// the one events.bin layout.
+using ExperimentCorruption = AlignedCorruption;
+
+TEST_F(ExperimentCorruption, BadMagicIsRejected) {
+  expect_corrupt(tiny_multiplexed_experiment(), "events.bin",
+                 [](std::vector<u8>& b) { b[0] ^= 0xFF; }, "bad events.bin magic");
+}
+
+TEST_F(ExperimentCorruption, TruncatedHeaderIsRejected) {
+  // Cut the file inside the last slice-table entry, the header's last field.
+  const Experiment ex = tiny_multiplexed_experiment();
+  ByteWriter header;
+  put_run_header(header, ex);
+  const size_t header_end = 4 + header.bytes().size();  // magic + run header
+  expect_corrupt(ex, "events.bin", [header_end](std::vector<u8>& b) {
+    ASSERT_GT(b.size(), header_end);
+    b.resize(header_end - 8);
+  });
+}
+
+TEST_F(ExperimentCorruption, ImplausibleCounterCountIsRejected) {
+  // One counter more than there are event types is already implausible,
+  // however many sets a multiplexed run has.
+  expect_corrupt(tiny_multiplexed_experiment(), "events.bin",
+                 [](std::vector<u8>& b) {
+                   const auto n = static_cast<u32>(machine::kNumHwEvents + 1);
+                   std::memcpy(b.data() + 4, &n, sizeof n);
+                 },
+                 "implausible counter count");
+}
+
+TEST_F(ExperimentCorruption, TruncatedColumnIsRejected) {
+  expect_corrupt(tiny_multiplexed_experiment(), "events.bin",
+                 [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
+}
+
+TEST_F(ExperimentCorruption, TrailingBytesAfterTrailerAreRejected) {
+  expect_corrupt(tiny_multiplexed_experiment(), "events.bin",
+                 [](std::vector<u8>& b) { b.push_back(0); }, "trailing byte");
+}
+
+TEST_F(ExperimentCorruption, CorruptLoadobjectsIsRejectedWithContext) {
+  expect_corrupt(tiny_multiplexed_experiment(), "loadobjects.bin",
+                 [](std::vector<u8>& b) { b.resize(b.size() / 2); });
+}
+
+TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
+  // A plain and a multiplexed run: the two shapes events.bin stores.
+  const testfix::ScopedTempDir tmp;
+  for (const Experiment& ex : {tiny_experiment(), tiny_multiplexed_experiment()}) {
     const std::string dir = tmp.path("exp");
-    ex.save(dir, FileFormat::ColumnarAligned);
+    ex.save(dir);
     const Experiment back = Experiment::load(dir);
+    ASSERT_EQ(back.slices.size(), ex.slices.size());
+    ASSERT_EQ(back.counters.size(), ex.counters.size());
+    for (size_t i = 0; i < ex.counters.size(); ++i) {
+      EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
+    }
     ASSERT_EQ(back.events.size(), ex.events.size());
     for (size_t i = 0; i < ex.events.size(); ++i) {
       EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
+      EXPECT_EQ(back.events[i].set, ex.events[i].set);
     }
-    // The zero-copy loader produces a frozen mapped store; the stream
-    // fallback produces a live owning one. Same contents either way.
-    EXPECT_EQ(back.events.is_mapped(), mm == nullptr);
   }
 }
 
 /// Build aligned EventStore bytes with hand-written columns (count, pad to
 /// 8, raw bytes — the serialize_aligned layout) so hostile handles can be
-/// injected, then run them through the real mmap path via a temp file.
+/// injected. Each set of columns below is decoded twice: from a heap buffer,
+/// the path a wire EventBatch takes (EventStoreCorruption), and from a mapped
+/// file, the path Experiment::load takes (AlignedCorruption2).
 template <typename T>
 void put_aligned_col(ByteWriter& w, const std::vector<T>& col) {
   w.put_u64(col.size());
   w.align_to(8);
   w.put_raw(col.data(), col.size() * sizeof(T));
+}
+
+void out_of_range_handle_columns(ByteWriter& w) {
+  put_aligned_col<u8>(w, {0});        // pic
+  put_aligned_col<u8>(w, {3});        // event
+  put_aligned_col<u64>(w, {1});       // weight
+  put_aligned_col<u64>(w, {0x1000});  // delivered_pc
+  put_aligned_col<u8>(w, {0});        // flags
+  put_aligned_col<u64>(w, {0});       // candidate_pc
+  put_aligned_col<u64>(w, {0});       // ea
+  put_aligned_col<u64>(w, {0});       // seq
+  put_aligned_col<u64>(w, {4});       // cs_offset: outside the 1-word arena
+  put_aligned_col<u32>(w, {2});       // cs_len
+  put_aligned_col<u64>(w, {0xdead});  // arena (1 word)
+  put_aligned_col<u8>(w, {0});        // set
+}
+
+void wrapping_handle_columns(ByteWriter& w) {
+  put_aligned_col<u8>(w, {0});
+  put_aligned_col<u8>(w, {3});
+  put_aligned_col<u64>(w, {1});
+  put_aligned_col<u64>(w, {0x1000});
+  put_aligned_col<u8>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {~u64{0}});  // cs_offset near 2^64: offset+len wraps
+  put_aligned_col<u32>(w, {8});
+  put_aligned_col<u64>(w, {0xdead});
+  put_aligned_col<u8>(w, {0});
+}
+
+void inconsistent_length_columns(ByteWriter& w) {
+  put_aligned_col<u8>(w, {0, 0});  // pic: two rows
+  put_aligned_col<u8>(w, {3});     // every other column: one row
+  put_aligned_col<u64>(w, {1});
+  put_aligned_col<u64>(w, {0x1000});
+  put_aligned_col<u8>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u32>(w, {0});
+  put_aligned_col<u64>(w, {});
+  put_aligned_col<u8>(w, {0});
+}
+
+void expect_in_memory_rejects(const std::function<void(ByteWriter&)>& write_columns) {
+  ByteWriter w;
+  write_columns(w);
+  const auto bytes = std::make_shared<const std::vector<u8>>(w.take());
+  ByteReader r(*bytes);
+  EXPECT_THROW(EventStore::deserialize_aligned(r, bytes), Error);
 }
 
 void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns) {
@@ -475,55 +526,31 @@ void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns
   EXPECT_THROW(EventStore::deserialize_aligned(r, mf), Error);
 }
 
+TEST(EventStoreCorruption, OutOfRangeArenaHandleIsRejected) {
+  expect_in_memory_rejects(out_of_range_handle_columns);
+}
+
+TEST(EventStoreCorruption, WrappingArenaHandleIsRejected) {
+  expect_in_memory_rejects(wrapping_handle_columns);
+}
+
+TEST(EventStoreCorruption, InconsistentColumnLengthsAreRejected) {
+  expect_in_memory_rejects(inconsistent_length_columns);
+}
+
 TEST(AlignedCorruption2, OutOfRangeArenaHandleIsRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0});        // pic
-    put_aligned_col<u8>(w, {3});        // event
-    put_aligned_col<u64>(w, {1});       // weight
-    put_aligned_col<u64>(w, {0x1000});  // delivered_pc
-    put_aligned_col<u8>(w, {0});        // flags
-    put_aligned_col<u64>(w, {0});       // candidate_pc
-    put_aligned_col<u64>(w, {0});       // ea
-    put_aligned_col<u64>(w, {0});       // seq
-    put_aligned_col<u64>(w, {4});       // cs_offset: outside the 1-word arena
-    put_aligned_col<u32>(w, {2});       // cs_len
-    put_aligned_col<u64>(w, {0xdead});  // arena (1 word)
-  });
+  expect_mapped_rejects(out_of_range_handle_columns);
 }
 
 TEST(AlignedCorruption2, WrappingArenaHandleIsRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u8>(w, {3});
-    put_aligned_col<u64>(w, {1});
-    put_aligned_col<u64>(w, {0x1000});
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {~u64{0}});  // cs_offset near 2^64: offset+len wraps
-    put_aligned_col<u32>(w, {8});
-    put_aligned_col<u64>(w, {0xdead});
-  });
+  expect_mapped_rejects(wrapping_handle_columns);
 }
 
 TEST(AlignedCorruption2, InconsistentColumnLengthsAreRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0, 0});  // pic: two rows
-    put_aligned_col<u8>(w, {3});     // every other column: one row
-    put_aligned_col<u64>(w, {1});
-    put_aligned_col<u64>(w, {0x1000});
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u32>(w, {0});
-    put_aligned_col<u64>(w, {});
-  });
+  expect_mapped_rejects(inconsistent_length_columns);
 }
 
-// --- experiment round trips in both on-disk layouts -------------------------
+// --- experiment round trips --------------------------------------------------
 
 class StoreRoundTrip : public ::testing::Test {
  protected:
@@ -573,43 +600,6 @@ u32 events_magic(const std::string& dir) {
   return r.get_u32();
 }
 
-TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
-  const testfix::ScopedTempDir tmp;
-  const std::string dir = tmp.path("exp");
-  ex_->save(dir, FileFormat::Columnar);
-  EXPECT_EQ(events_magic(dir), 0x44535046u);  // 'DSPF'
-  const Experiment back = Experiment::load(dir);
-  expect_same_events(*ex_, back);
-  EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
-  EXPECT_EQ(back.total_cycles, ex_->total_cycles);
-  // DSPF predates allocation-site PCs: addr/size round-trip, site loads as 0.
-  ASSERT_EQ(back.allocations.size(), ex_->allocations.size());
-  for (size_t i = 0; i < back.allocations.size(); ++i) {
-    EXPECT_EQ(back.allocations[i].addr, ex_->allocations[i].addr);
-    EXPECT_EQ(back.allocations[i].size, ex_->allocations[i].size);
-    EXPECT_EQ(back.allocations[i].site_pc, 0u);
-  }
-}
-
-TEST_F(StoreRoundTrip, LegacyFormatRoundTripsAndAgreesWithColumnar) {
-  // The seed's row-oriented layout must load into the same events (and the
-  // loader re-interns, so dedup statistics match the in-memory store).
-  const testfix::ScopedTempDir tmp;
-  const std::string dir = tmp.path("legacy");
-  ex_->save(dir, FileFormat::Legacy);
-  EXPECT_EQ(events_magic(dir), 0x44535045u);  // 'DSPE'
-  const Experiment back = Experiment::load(dir);
-  expect_same_events(*ex_, back);
-  EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
-  // Both layouts feed the analyzer identically.
-  ex_->save(tmp.path("columnar"), FileFormat::Columnar);
-  const Experiment col = Experiment::load(tmp.path("columnar"));
-  analyze::Analysis al(back), ac(col);
-  EXPECT_EQ(analyze::render_overview(al), analyze::render_overview(ac));
-  EXPECT_EQ(analyze::render_data_objects(al, analyze::kUserCpuMetric),
-            analyze::render_data_objects(ac, analyze::kUserCpuMetric));
-}
-
 // --- reduction determinism ---------------------------------------------------
 
 std::string all_views(analyze::Analysis& a) {
@@ -643,54 +633,35 @@ TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
   EXPECT_EQ(ab.reduce().sample_counts, as.reduce().sample_counts);
 }
 
-// --- zero-copy aligned layout + mmap loading ---------------------------------
+// --- zero-copy aligned layout + mapped loading -------------------------------
 
 TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
   const testfix::ScopedTempDir tmp;
   const std::string dir = tmp.path("exp");
-  ex_->save(dir);  // default format
-  EXPECT_EQ(events_magic(dir), 0x44535047u);  // 'DSPG'
+  ex_->save(dir);
+  EXPECT_EQ(events_magic(dir), 0x4453504Au);  // 'DSPJ', the only layout
   const Experiment back = Experiment::load(dir);
   EXPECT_TRUE(back.events.is_mapped());
-  EXPECT_TRUE(back.events.is_frozen());
   expect_same_events(*ex_, back);
   EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
   EXPECT_EQ(back.total_cycles, ex_->total_cycles);
-  EXPECT_EQ(back.allocations, ex_->allocations);  // site PCs survive DSPG
-}
-
-TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
-  const testfix::ScopedTempDir tmp;
-  const std::string dir = tmp.path("exp");
-  ex_->save(dir, FileFormat::ColumnarAligned);
-  const Experiment mapped = Experiment::load(dir);
-  ASSERT_TRUE(mapped.events.is_mapped());
-  Experiment streamed;
-  {
-    const ScopedMmapEnv env("0");
-    streamed = Experiment::load(dir);
-  }
-  ASSERT_FALSE(streamed.events.is_mapped());
-  expect_same_events(mapped, streamed);
-  EXPECT_EQ(mapped.events.unique_callstacks(), streamed.events.unique_callstacks());
-  // Both loaders feed the analyzer identically — and identically to the
-  // original in-memory experiment.
-  analyze::Analysis am(mapped), as(streamed), ao(*ex_);
-  EXPECT_EQ(analyze::render_json_report(am), analyze::render_json_report(as));
-  EXPECT_EQ(analyze::render_json_report(am), analyze::render_json_report(ao));
+  EXPECT_EQ(back.allocations, ex_->allocations);  // site PCs survive
+  // The mapped store feeds the analyzer exactly as the in-memory one does.
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
+            analyze::render_json_report(analyze::Analysis(*ex_)));
 }
 
 TEST_F(StoreRoundTrip, MappedStoreIsFrozenAndRefusesAppend) {
   const testfix::ScopedTempDir tmp;
   const std::string dir = tmp.path("exp");
-  ex_->save(dir, FileFormat::ColumnarAligned);
+  ex_->save(dir);
   Experiment back = Experiment::load(dir);
-  ASSERT_TRUE(back.events.is_frozen());
+  ASSERT_TRUE(back.events.is_mapped());
   const u64 pc = 0x1000;
   EXPECT_THROW(back.events.append(0, machine::HwEvent::EC_rd_miss, 1, pc, false, 0, false,
                                   0, nullptr, 0, 0),
                Error);
-  // A frozen store can still be copied into a live one, re-interning.
+  // A mapped store can still be copied into a live one, re-interning.
   EventStore live;
   live.append_range(back.events, 0, back.events.size());
   EXPECT_EQ(live.size(), back.events.size());
@@ -705,9 +676,11 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
     const size_t begin = rng() % ev.size();
     const size_t end = begin + rng() % (ev.size() - begin + 1);
     ByteWriter w;
-    ev.serialize_range(w, begin, end);
-    ByteReader r(w.bytes());
-    const EventStore got = EventStore::deserialize(r);
+    ev.serialize_range_aligned(w, begin, end);
+    const auto bytes = std::make_shared<const std::vector<u8>>(w.take());
+    ByteReader r(*bytes);
+    const EventStore got = EventStore::deserialize_aligned(r, bytes);
+    ASSERT_TRUE(r.at_end());
     EventStore want;
     want.append_range(ev, begin, end);
     ASSERT_EQ(got.size(), want.size()) << "[" << begin << "," << end << ")";
@@ -719,6 +692,7 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
       ASSERT_EQ(a.candidate_pc, b.candidate_pc);
       ASSERT_EQ(a.ea, b.ea);
       ASSERT_EQ(a.seq, b.seq);
+      ASSERT_EQ(a.set, b.set);
       ASSERT_TRUE(a.callstack == b.callstack) << "event " << i;
     }
     EXPECT_EQ(got.unique_callstacks(), want.unique_callstacks());
@@ -728,12 +702,12 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
 // --- oracle equivalence -----------------------------------------------------
 
 TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
-  // The fast path end to end: a DSPG experiment loaded through mmap views,
+  // The fast path end to end: an experiment loaded through mapped views,
   // reduced by the radix fold, must render exactly what the oracle produces
   // over the owning store.
   const testfix::ScopedTempDir tmp;
   const std::string dir = tmp.path("exp");
-  ex_->save(dir, FileFormat::ColumnarAligned);
+  ex_->save(dir);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
   analyze::Analysis ar(mapped), ab(*ex_, oracle::reduce({ex_}));

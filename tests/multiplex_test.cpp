@@ -250,7 +250,7 @@ TEST_F(MultiplexCollect, ReductionEnginesAgreeOnMultiplexedProfiles) {
             analyze::render_json_report(analyze::Analysis(ex, oracle::reduce({&ex}))));
 }
 
-// --- slice-aware file formats -----------------------------------------------
+// --- the slice-aware events.bin ----------------------------------------------
 
 u32 events_magic(const std::string& dir) {
   std::ifstream in(dir + "/events.bin", std::ios::binary);
@@ -262,65 +262,51 @@ u32 events_magic(const std::string& dir) {
 }
 
 TEST_F(MultiplexCollect, SaveLoadRoundTripsSlicesInEveryFormat) {
+  // events.bin has one layout; it carries set ids and the slice table.
   const auto ex = collect_mpx().ex;
-  const struct {
-    experiment::FileFormat format;
-    u32 magic;
-  } cases[] = {
-      {experiment::FileFormat::ColumnarAligned, 0x4453504A},  // "DSPJ"
-      {experiment::FileFormat::Columnar, 0x44535049},         // "DSPI"
-      {experiment::FileFormat::Legacy, 0x44535048},           // "DSPH"
-  };
   const testfix::ScopedTempDir tmp;
-  for (const auto& c : cases) {
-    const std::string dir = tmp.path("fmt_" + std::to_string(static_cast<int>(c.format)));
-    ex.save(dir, c.format);
-    EXPECT_EQ(events_magic(dir), c.magic);
-    const auto back = experiment::Experiment::load(dir);
-    ASSERT_EQ(back.slices.size(), ex.slices.size());
-    for (size_t i = 0; i < ex.slices.size(); ++i) {
-      EXPECT_EQ(back.slices[i].live_cycles, ex.slices[i].live_cycles);
-      EXPECT_EQ(back.slices[i].switches, ex.slices[i].switches);
-    }
-    ASSERT_EQ(back.counters.size(), ex.counters.size());
-    for (size_t i = 0; i < ex.counters.size(); ++i) {
-      EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
-    }
-    ASSERT_EQ(back.events.size(), ex.events.size());
-    for (size_t i = 0; i < ex.events.size(); ++i) {
-      ASSERT_EQ(back.events[i].set, ex.events[i].set) << "event " << i;
-    }
-    // The round-tripped profile renders identically to the in-memory one.
-    EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
-              analyze::render_json_report(analyze::Analysis(ex)));
+  const std::string dir = tmp.path("exp");
+  ex.save(dir);
+  EXPECT_EQ(events_magic(dir), 0x4453504Au);  // "DSPJ"
+  const auto back = experiment::Experiment::load(dir);
+  ASSERT_EQ(back.slices.size(), ex.slices.size());
+  for (size_t i = 0; i < ex.slices.size(); ++i) {
+    EXPECT_EQ(back.slices[i].live_cycles, ex.slices[i].live_cycles);
+    EXPECT_EQ(back.slices[i].switches, ex.slices[i].switches);
   }
+  ASSERT_EQ(back.counters.size(), ex.counters.size());
+  for (size_t i = 0; i < ex.counters.size(); ++i) {
+    EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
+  }
+  ASSERT_EQ(back.events.size(), ex.events.size());
+  for (size_t i = 0; i < ex.events.size(); ++i) {
+    ASSERT_EQ(back.events[i].set, ex.events[i].set) << "event " << i;
+  }
+  // The round-tripped profile renders identically to the in-memory one.
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
+            analyze::render_json_report(analyze::Analysis(ex)));
 }
 
-TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
-  // A run that fits the registers writes the exact pre-multiplexing file
-  // bytes (original magics, no set column, no slice table) and loads with an
-  // empty slice table — scale 1.0 everywhere.
+TEST_F(MultiplexCollect, NonMultiplexedSavesLoadAsOneAlwaysLiveSet) {
+  // A run that fits the registers saves the same layout with an empty slice
+  // table and a zero set column, and loads back as one always-live set:
+  // scale 1.0 everywhere, the same report as the in-memory run.
   const auto ex = testfix::quick_collect(*image_, "+ecrm,61", "on");
   ASSERT_TRUE(ex.slices.empty());
-  const struct {
-    experiment::FileFormat format;
-    u32 magic;
-  } cases[] = {
-      {experiment::FileFormat::ColumnarAligned, 0x44535047},  // "DSPG"
-      {experiment::FileFormat::Columnar, 0x44535046},         // "DSPF"
-      {experiment::FileFormat::Legacy, 0x44535045},           // "DSPE"
-  };
-  const std::string ref = analyze::render_json_report(analyze::Analysis(ex));
   const testfix::ScopedTempDir tmp;
-  for (const auto& c : cases) {
-    const std::string dir = tmp.path("fmt_" + std::to_string(static_cast<int>(c.format)));
-    ex.save(dir, c.format);
-    EXPECT_EQ(events_magic(dir), c.magic);
-    const auto back = experiment::Experiment::load(dir);
-    EXPECT_TRUE(back.slices.empty());
-    EXPECT_FALSE(back.multiplexed());
-    EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)), ref);
+  const std::string dir = tmp.path("exp");
+  ex.save(dir);
+  EXPECT_EQ(events_magic(dir), 0x4453504Au);  // "DSPJ"
+  const auto back = experiment::Experiment::load(dir);
+  EXPECT_TRUE(back.slices.empty());
+  EXPECT_FALSE(back.multiplexed());
+  for (const auto& c : back.counters) EXPECT_EQ(c.set, 0u);
+  ASSERT_EQ(back.events.size(), ex.events.size());
+  for (size_t i = 0; i < back.events.size(); ++i) {
+    ASSERT_EQ(back.events[i].set, 0u) << "event " << i;
   }
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
+            analyze::render_json_report(analyze::Analysis(ex)));
 }
 
 TEST_F(MultiplexCollect, CorruptSliceTablesFailWithStructuredErrors) {
@@ -374,27 +360,31 @@ TEST_F(MultiplexCollect, CorruptSliceTablesFailWithStructuredErrors) {
 
 TEST_F(MultiplexCollect, WireHelloCarriesSetsAndSlices) {
   const auto ex = collect_mpx().ex;
-  serve::HelloPayload h;
-  h.client_name = "mpx-test";
-  h.image = ex.image;
-  h.counters = ex.counters;
-  h.total_cycles = ex.total_cycles;
-  h.slices = ex.slices;
-  serve::HelloPayload back;
-  ASSERT_TRUE(serve::decode_hello(serve::encode_hello(h), back).ok());
-  ASSERT_EQ(back.counters.size(), h.counters.size());
-  for (size_t i = 0; i < h.counters.size(); ++i) {
-    EXPECT_EQ(back.counters[i].set, h.counters[i].set);
+  std::string name;
+  experiment::Experiment back;
+  ASSERT_TRUE(serve::decode_hello(serve::encode_hello("mpx-test", ex), name, back).ok());
+  EXPECT_EQ(name, "mpx-test");
+  ASSERT_EQ(back.counters.size(), ex.counters.size());
+  for (size_t i = 0; i < ex.counters.size(); ++i) {
+    EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
   }
-  ASSERT_EQ(back.slices.size(), h.slices.size());
-  for (size_t i = 0; i < h.slices.size(); ++i) {
-    EXPECT_EQ(back.slices[i].live_cycles, h.slices[i].live_cycles);
-    EXPECT_EQ(back.slices[i].switches, h.slices[i].switches);
+  ASSERT_EQ(back.slices.size(), ex.slices.size());
+  for (size_t i = 0; i < ex.slices.size(); ++i) {
+    EXPECT_EQ(back.slices[i].live_cycles, ex.slices[i].live_cycles);
+    EXPECT_EQ(back.slices[i].switches, ex.slices[i].switches);
   }
 
+  // A live collector announces its multiplexed counters before any slice
+  // has run: set ids without a slice table are accepted on the wire.
+  auto live = ex;
+  live.slices.clear();
+  ASSERT_TRUE(serve::decode_hello(serve::encode_hello("live", live), name, back).ok());
+  EXPECT_TRUE(back.slices.empty());
+
   // An implausible slice table is rejected as Malformed, not adopted.
-  h.slices.resize(machine::kNumHwEvents + 1);
-  const serve::Status st = serve::decode_hello(serve::encode_hello(h), back);
+  auto bad = ex;
+  bad.slices.resize(machine::kNumHwEvents + 1);
+  const serve::Status st = serve::decode_hello(serve::encode_hello("mpx-test", bad), name, back);
   EXPECT_EQ(st.code, serve::StatusCode::Malformed);
   EXPECT_NE(st.message.find("implausible slice-table set count"), std::string::npos)
       << st.message;

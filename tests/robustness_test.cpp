@@ -1,13 +1,18 @@
-// Robustness and edge-case tests across modules.
+// Robustness and edge-case tests across modules, and a seeded mutation
+// fuzzer over the two trust boundaries: events.bin (mapped from disk) and the
+// wire Hello / EventBatch payloads (read from the network).
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <limits>
 
+#include "analyze/reduction.hpp"
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
 #include "isa/assembler.hpp"
+#include "serve/wire.hpp"
 #include "support/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -219,6 +224,210 @@ TEST(SccEdge, EmptyLoopBodiesAndConstantConditions) {
   machine::Cpu cpu(mem, machine::CpuConfig{});
   cpu.set_pc(img.entry);
   EXPECT_EQ(cpu.run(10000).exit_code, 7);
+}
+
+// --- seeded mutation fuzzing of the trust boundaries -------------------------
+// Corpora are the events.bin, Hello and EventBatch bytes of one plain and one
+// multiplexed collect of the chase fixture. Each iteration applies one to
+// three mutations — a byte flip, a truncation, or a u32/u64 field (a known
+// count or run-header size field, or any aligned word) filled with 0x00 or
+// 0xFF. The oracle:
+// Experiment::load throws only dsprof::Error, decode_* never throws, and
+// whatever is accepted runs through Analysis, the JSON report, the page and
+// line views and IncrementalReducer::fold raising nothing but dsprof::Error
+// (and, in the sanitizer builds, no sanitizer report). Seeds are fixed, so
+// every run mutates the same bytes.
+
+struct FuzzCorpus {
+  experiment::Experiment ex;          // the collected run
+  std::vector<u8> bytes;              // the encoding under test
+  std::vector<std::pair<size_t, size_t>> fields;  // (offset, width) to fill
+};
+
+/// The run header at `at` in `c.bytes`: its counter count, its six u64
+/// clock/geometry/total fields and its slice count. Returns its end.
+size_t add_run_header_fields(size_t at, FuzzCorpus& c) {
+  c.fields.emplace_back(at, 4);
+  at += 4 + 12 * c.ex.counters.size();
+  for (int i = 0; i < 6; ++i, at += 8) c.fields.emplace_back(at, 8);
+  c.fields.emplace_back(at, 4);
+  return at + 4 + 16 * c.ex.slices.size();
+}
+
+/// The 12 column counts of the aligned EventStore encoding at `at` in
+/// `c.bytes` (EventStore::serialize_aligned's layout). Returns its end.
+size_t add_column_counts(size_t at, FuzzCorpus& c) {
+  static constexpr size_t kElem[] = {1, 1, 8, 8, 1, 8, 8, 8, 8, 4, 8, 1};
+  for (const size_t elem : kElem) {
+    c.fields.emplace_back(at, 8);
+    u64 n = 0;
+    std::memcpy(&n, c.bytes.data() + at, 8);
+    at = round_up(at + 8, 8) + n * elem;
+  }
+  return at;
+}
+
+experiment::Experiment fuzz_collect(bool multiplexed) {
+  static const sym::Image image = scc::compile(*testfix::make_chase_module(600, 3, 1024));
+  collect::CollectOptions opt;
+  opt.clock = "on";
+  opt.cpu.hierarchy.dcache = {4 * 1024, 2, 32, /*write_allocate=*/false};
+  opt.cpu.hierarchy.ecache = {16 * 1024, 2, 512, /*write_allocate=*/true};
+  opt.cpu.hierarchy.dtlb = {8, 2, 8 * 1024};
+  if (multiplexed) {
+    opt.hw = "+ecstall,199,+ecrm,61,+dcrm,31,+dtlbm,13";
+    opt.mpx_slice_cycles = 10007;
+  } else {
+    opt.hw = "+ecstall,199,+ecrm,61";
+  }
+  collect::Collector c(image, opt);
+  experiment::Experiment ex = c.run();
+  EXPECT_GT(ex.events.size(), 50u);
+  EXPECT_EQ(ex.multiplexed(), multiplexed);
+  return ex;
+}
+
+/// Mutate a copy of `c.bytes` with 1-3 random mutations.
+std::vector<u8> mutate(const FuzzCorpus& c, Xoshiro256& rng) {
+  std::vector<u8> b = c.bytes;
+  const int n = 1 + static_cast<int>(rng.next() % 3);
+  for (int k = 0; k < n && !b.empty(); ++k) {
+    const u64 pick = rng.next() % 8;
+    const u8 fill = rng.next() % 2 != 0 ? 0xFF : 0x00;
+    if (pick < 3) {
+      b[rng.next() % b.size()] ^= static_cast<u8>(1 + rng.next() % 255);
+    } else if (pick == 3) {
+      b.resize(rng.next() % b.size());
+    } else if (pick < 6 && !c.fields.empty()) {
+      const auto [at, width] = c.fields[rng.next() % c.fields.size()];
+      if (at + width <= b.size()) std::memset(b.data() + at, fill, width);
+    } else {
+      const size_t width = pick == 6 ? 4 : 8;
+      if (b.size() >= width) {
+        const size_t at = (rng.next() % (b.size() - width + 1)) / width * width;
+        std::memset(b.data() + at, fill, width);
+      }
+    }
+  }
+  return b;
+}
+
+/// Run an accepted experiment through the analyzer surfaces. dsprof::Error
+/// is an acceptable verdict on hostile input; anything else propagates and
+/// fails the test.
+void exercise(const experiment::Experiment& ex) {
+  try {
+    const analyze::Analysis a(ex);
+    (void)analyze::render_json_report(a);
+    for (const size_t m : {analyze::kUserCpuMetric, static_cast<size_t>(HwEvent::EC_rd_miss)}) {
+      (void)analyze::render_pages(a, m);
+      (void)analyze::render_cache_lines(a, m);
+    }
+    analyze::IncrementalReducer reducer(ex.image.symtab, ex.counters);
+    reducer.fold(ex.events, 0, ex.events.size());
+  } catch (const Error&) {
+  }
+}
+
+constexpr int kFuzzIterations = 5000;  // per corpus: about 3 s for the three tests
+
+TEST(FuzzBoundaries, EventsBinMutationsFailCleanly) {
+  for (const bool mpx : {false, true}) {
+    FuzzCorpus c;
+    c.ex = fuzz_collect(mpx);
+    const testfix::ScopedTempDir tmp;
+    const std::string dir = tmp.path("exp");
+    c.ex.save(dir);
+    c.bytes = read_file(dir + "/events.bin");
+    // Known fields: the run header, the column counts, and the trailer's
+    // allocation and truth counts.
+    const size_t trailer = add_column_counts(add_run_header_fields(4, c), c);
+    c.fields.emplace_back(trailer, 4);
+    c.fields.emplace_back(trailer + 4 + 24 * c.ex.allocations.size(), 4);
+
+    Xoshiro256 rng(mpx ? 0xE7E27B1 : 0xE7E27B0);
+    size_t accepted = 0;
+    for (int i = 0; i < kFuzzIterations; ++i) {
+      write_file(dir + "/events.bin", mutate(c, rng));
+      try {
+        const experiment::Experiment ex = experiment::Experiment::load(dir);
+        ++accepted;
+        exercise(ex);
+      } catch (const Error& e) {
+        ASSERT_NE(std::string(e.what()).find("events.bin"), std::string::npos) << e.what();
+      }
+    }
+    // Flips inside event payloads leave the structure valid: the fuzzer must
+    // reach the analyzer, not just the header checks.
+    EXPECT_GT(accepted, 0u);
+  }
+}
+
+TEST(FuzzBoundaries, HelloMutationsDecodeCleanly) {
+  for (const bool mpx : {false, true}) {
+    FuzzCorpus c;
+    c.ex = fuzz_collect(mpx);
+    c.bytes = serve::encode_hello("fuzz", c.ex);
+    ByteWriter header;
+    experiment::put_run_header(header, c.ex);
+    // Known fields: the name length, the image's text word count and the
+    // run header at the end of the payload.
+    c.fields = {{0, 4}, {4 + 4 + 8, 4}};
+    add_run_header_fields(c.bytes.size() - header.bytes().size(), c);
+
+    Xoshiro256 rng(mpx ? 0x4E110B1 : 0x4E110B0);
+    size_t accepted = 0;
+    for (int i = 0; i < kFuzzIterations; ++i) {
+      const std::vector<u8> payload = mutate(c, rng);
+      std::string name;
+      experiment::Experiment ex;
+      serve::Status st;
+      try {
+        st = serve::decode_hello(payload, name, ex);
+      } catch (...) {
+        FAIL() << "decode_hello threw on iteration " << i;
+      }
+      if (!st.ok()) {
+        ASSERT_EQ(st.code, serve::StatusCode::Malformed);
+        continue;
+      }
+      ++accepted;
+      ex.events = c.ex.events;  // the session's events under the hostile context
+      exercise(ex);
+    }
+    EXPECT_GT(accepted, 0u);
+  }
+}
+
+TEST(FuzzBoundaries, EventBatchMutationsDecodeCleanly) {
+  for (const bool mpx : {false, true}) {
+    FuzzCorpus c;
+    c.ex = fuzz_collect(mpx);
+    c.bytes = serve::encode_event_batch(c.ex.events, 0, std::min<size_t>(c.ex.events.size(), 300));
+    add_column_counts(0, c);
+
+    Xoshiro256 rng(mpx ? 0xBA7C41 : 0xBA7C40);
+    size_t accepted = 0;
+    experiment::Experiment ex = c.ex;
+    for (int i = 0; i < kFuzzIterations; ++i) {
+      std::vector<u8> payload = mutate(c, rng);
+      experiment::EventStore batch;
+      serve::Status st;
+      try {
+        st = serve::decode_event_batch(std::move(payload), batch);
+      } catch (...) {
+        FAIL() << "decode_event_batch threw on iteration " << i;
+      }
+      if (!st.ok()) {
+        ASSERT_EQ(st.code, serve::StatusCode::Malformed);
+        continue;
+      }
+      ++accepted;
+      ex.events = std::move(batch);
+      exercise(ex);
+    }
+    EXPECT_GT(accepted, 0u);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <thread>
 
@@ -170,14 +171,82 @@ TEST(Wire, TruncatedPayloadDecodesToMalformed) {
   EventStore out;
   EXPECT_EQ(decode_event_batch(std::move(payload), out).code, StatusCode::Malformed);
 
-  HelloPayload h;
-  EXPECT_EQ(decode_hello({1, 2, 3}, h).code, StatusCode::Malformed);
+  std::string name;
+  Experiment hello;
+  EXPECT_EQ(decode_hello({1, 2, 3}, name, hello).code, StatusCode::Malformed);
   Accounting acct;
   EXPECT_EQ(decode_flush_ack({9}, acct).code, StatusCode::Malformed);
   std::vector<machine::AllocRecord> allocs;
   // Hostile count with a tiny payload must fail cleanly, not allocate.
   std::vector<u8> bad_allocs(8, 0xFF);
   EXPECT_EQ(decode_allocs(bad_allocs, allocs).code, StatusCode::Malformed);
+}
+
+/// The Hello of `ex`, passed to `patch` with the offset of its run header.
+std::vector<u8> patched_hello(const Experiment& ex,
+                              const std::function<void(std::vector<u8>&, size_t)>& patch) {
+  std::vector<u8> payload = encode_hello("x", ex);
+  ByteWriter header;
+  experiment::put_run_header(header, ex);
+  patch(payload, payload.size() - header.bytes().size());
+  return payload;
+}
+
+/// A small Hello whose run header claims 2^32-1 counters.
+std::vector<u8> huge_count_hello() {
+  return patched_hello(Experiment{}, [](std::vector<u8>& b, size_t at) {
+    std::memset(b.data() + at, 0xFF, 4);
+  });
+}
+
+Status decode_hello_no_throw(const std::vector<u8>& payload) {
+  std::string name;
+  Experiment out;
+  Status st;
+  EXPECT_NO_THROW(st = decode_hello(payload, name, out));
+  return st;
+}
+
+TEST(Wire, HugeHelloCounterCountIsMalformedNotThrown) {
+  // A small Hello claiming 2^32-1 counters must be bounded before anything
+  // is allocated for them: a std::bad_alloc would escape the decoder's
+  // Error guard and take the daemon down with it.
+  const std::vector<u8> payload = huge_count_hello();
+  ASSERT_LT(payload.size(), 200u);
+  const Status st = decode_hello_no_throw(payload);
+  EXPECT_EQ(st.code, StatusCode::Malformed);
+  EXPECT_NE(st.message.find("implausible counter count 4294967295"), std::string::npos)
+      << st.message;
+}
+
+TEST(Wire, HelloWithOutOfRangeRunValuesIsMalformed) {
+  // Values the analyzer would index or divide by: a counter event beyond
+  // HwEvent, and a zero page or E$ line size.
+  Experiment ex;
+  ex.counters.resize(1);
+  const std::vector<u8> bad_event = patched_hello(ex, [](std::vector<u8>& b, size_t at) {
+    b[at + 4] = static_cast<u8>(machine::kNumHwEvents);  // first counter's event
+  });
+  EXPECT_EQ(decode_hello_no_throw(bad_event).code, StatusCode::Malformed);
+  for (const bool line : {false, true}) {
+    Experiment zero;
+    (line ? zero.ec_line_size : zero.page_size) = 0;
+    const Status st = decode_hello_no_throw(encode_hello("x", zero));
+    EXPECT_EQ(st.code, StatusCode::Malformed);
+    EXPECT_NE(st.message.find("zero page or E$ line size"), std::string::npos) << st.message;
+  }
+}
+
+TEST(Wire, EventBatchWithOutOfRangeEventIdIsMalformed) {
+  // dsprofd folds a decoded batch straight away; the fold indexes
+  // per-metric arrays by each event's id.
+  EventStore ev;
+  ev.append(0, static_cast<machine::HwEvent>(machine::kNumHwEvents), 97, 0x4000, false, 0,
+            false, 0, nullptr, 0, 1);
+  EventStore out;
+  const Status st = decode_event_batch(encode_event_batch(ev), out);
+  EXPECT_EQ(st.code, StatusCode::Malformed);
+  EXPECT_NE(st.message.find("out of range"), std::string::npos) << st.message;
 }
 
 TEST(Wire, TrailingGarbageRejected) {
@@ -188,16 +257,16 @@ TEST(Wire, TrailingGarbageRejected) {
 }
 
 TEST_F(ServeTest, PayloadCodecsRoundtrip) {
-  HelloPayload h;
-  h.client_name = "codec-test";
+  Experiment h;
   h.image = *image_;
   h.counters = ex_->counters;
   h.clock_interval = ex_->clock_interval;
   h.clock_hz = ex_->clock_hz;
   h.total_cycles = 123456789;
-  HelloPayload out;
-  ASSERT_TRUE(decode_hello(encode_hello(h), out).ok());
-  EXPECT_EQ(out.client_name, h.client_name);
+  std::string name;
+  Experiment out;
+  ASSERT_TRUE(decode_hello(encode_hello("codec-test", h), name, out).ok());
+  EXPECT_EQ(name, "codec-test");
   ASSERT_EQ(out.counters.size(), h.counters.size());
   for (size_t i = 0; i < h.counters.size(); ++i) {
     EXPECT_EQ(out.counters[i].event, h.counters[i].event);
@@ -498,11 +567,10 @@ TEST_F(ServeTest, DisconnectMidBatchDiscardsPartialFrameOnly) {
   const auto send_raw = [&](const std::vector<u8>& b) {
     ASSERT_TRUE(client_end->send(b.data(), b.size()).ok());
   };
-  HelloPayload h;
-  h.client_name = "rude-client";
+  Experiment h;
   h.image = *image_;
   h.counters = ex_->counters;
-  send_raw(encode_frame(FrameType::Hello, encode_hello(h)));
+  send_raw(encode_frame(FrameType::Hello, encode_hello("rude-client", h)));
 
   // Wait for the HelloAck: shutting down before the server replies would
   // fail its HelloAck send and poison the session before the batch lands.
@@ -575,6 +643,44 @@ TEST_F(ServeTest, CorruptFrameKillsSessionNotServer) {
   server.wait_session(id);
 
   // The server survives and accepts a fresh, healthy session.
+  auto [c2, s2] = make_pipe_pair();
+  server.add_session(std::move(s2));
+  Client client(std::move(c2));
+  Accounting acct;
+  ASSERT_TRUE(stream_experiment(client, *ex_, 512, acct).ok());
+  EXPECT_EQ(acct.events_reduced, ex_->events.size());
+  ASSERT_TRUE(client.close(acct).ok());
+  server.stop();
+}
+
+TEST_F(ServeTest, HostileHelloKillsSessionNotServer) {
+  // The huge-counter-count Hello, sent to a live daemon: the session gets a
+  // Malformed Error frame, the daemon keeps serving.
+  Server server;
+  auto [client_end, server_end] = make_pipe_pair();
+  const u64 id = server.add_session(std::move(server_end));
+  const std::vector<u8> frame = encode_frame(FrameType::Hello, huge_count_hello());
+  ASSERT_TRUE(client_end->send(frame.data(), frame.size()).ok());
+
+  FrameReader r;
+  std::vector<u8> buf(4096);
+  Frame f;
+  bool got_error = false;
+  for (int i = 0; i < 50 && !got_error; ++i) {
+    size_t got = 0;
+    if (!client_end->recv_some(buf.data(), buf.size(), got, 1000).ok()) break;
+    ASSERT_TRUE(r.feed(buf.data(), got).ok());
+    while (r.next_frame(f)) {
+      ASSERT_EQ(f.type, FrameType::Error);
+      Status carried;
+      ASSERT_TRUE(decode_error(f.payload, carried).ok());
+      EXPECT_EQ(carried.code, StatusCode::Malformed) << carried.message;
+      got_error = true;
+    }
+  }
+  EXPECT_TRUE(got_error);
+  server.wait_session(id);
+
   auto [c2, s2] = make_pipe_pair();
   server.add_session(std::move(s2));
   Client client(std::move(c2));

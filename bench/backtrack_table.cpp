@@ -16,13 +16,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "backtrack_oracle.hpp"
 #include "bench_json.hpp"
-#include "collect/collector.hpp"
 #include "mcfsim/mcfsim.hpp"
 #include "sa/backtrack_table.hpp"
+#include "support/flat_hash.hpp"
 
 using namespace dsprof;
-using collect::backtrack_dynamic;
+using oracle::backtrack_dynamic;
 
 namespace {
 

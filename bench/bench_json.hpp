@@ -7,6 +7,10 @@
 // additionally writes it to <path>; a bare `--json` defaults to
 // BENCH_<name>.json in the current directory. The flag is consumed from
 // argv so benches with their own flags can parse the rest.
+//
+// bench/paper is the one bench with several views: each view prints its
+// own report followed by its own JSON line, and `--json [dir]` writes
+// dir/BENCH_<view>.json per view (one JsonSink per view).
 #pragma once
 
 #include <cstdarg>
@@ -31,6 +35,10 @@ class JsonSink {
     }
     argc = w;
   }
+
+  /// Mirror to <dir>/BENCH_<name>.json; an empty `dir` prints only.
+  JsonSink(const std::string& dir, const std::string& bench_name)
+      : path_(dir.empty() ? "" : dir + "/BENCH_" + bench_name + ".json") {}
 
   /// printf-style: format the bench's one JSON object, print it as the
   /// last stdout line, and mirror it to the --json file when requested.

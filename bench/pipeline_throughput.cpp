@@ -26,14 +26,14 @@
 #include <vector>
 
 #include "analyze/reduction.hpp"
+#include "backtrack_oracle.hpp"
 #include "bench_json.hpp"
-#include "collect/collector.hpp"
 #include "mcfsim/experiments.hpp"
 #include "reduce_oracle.hpp"
 #include "sa/backtrack_table.hpp"
 
 using namespace dsprof;
-using collect::backtrack_dynamic;
+using oracle::backtrack_dynamic;
 
 namespace {
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build + full test suite, once normally and once under
+# Tier-1 verification: build + full test suite, once normally (compiler
+# warnings are errors: CMAKE_COMPILE_WARNING_AS_ERROR) and once under
 # AddressSanitizer (DSPROF_SANITIZE=address); the simulator and trust-boundary
 # suites once more under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined);
 # plus these
@@ -151,21 +152,26 @@ run_s3verify() {
 
 # Benchmark sweep: every bench/ target supports --json <path> (bench_json.hpp
 # contract) and is collected as BENCH_<name>.json at the repo root;
+# bench/paper collects the §3.1 pair once and writes one BENCH_<view>.json
+# per figure and view into the directory --json names;
 # bench/obs_overhead doubles as the self-observability acceptance gate (< 3%
 # enabled-instrumentation overhead on the reduce and ingest hot paths) and
 # writes BENCH_obs.json. Benches with built-in acceptance bars (pipeline,
 # backtrack, ingest floor, obs) fail the script through their exit codes.
 run_bench() {
   local dir="$1"
-  local plain=(fig1_total_metrics fig2_function_list fig3_annotated_source
-    fig4_annotated_disasm fig5_hot_pcs fig6_data_objects fig7_node_expansion
-    opt_speedups overhead_hwcprof effectiveness ablation_padding ablation_skid
-    prefetch_feedback address_views instance_view pipeline_throughput
-    backtrack_table ingest_throughput fleet_load dataflow multiplex)
+  local plain=(opt_speedups overhead_hwcprof ablation_padding ablation_skid
+    prefetch_feedback pipeline_throughput backtrack_table ingest_throughput
+    fleet_load dataflow multiplex)
   echo "== bench: run every bench target, collect BENCH_*.json =="
-  cmake --build "${dir}" -j "${jobs}" --target "${plain[@]}" bench_er_opt obs_overhead micro_sim
+  cmake --build "${dir}" -j "${jobs}" --target paper "${plain[@]}" bench_er_opt obs_overhead \
+    micro_sim
   local b log
   log="$(mktemp)"
+  echo "-- bench: paper --"
+  "${dir}/bench/paper" --json "${repo}" >"${log}" 2>&1 \
+    || { echo "bench paper FAILED"; cat "${log}"; rm -f "${log}"; return 1; }
+  grep '^{"bench":' "${log}"
   for b in "${plain[@]}"; do
     echo "-- bench: ${b} --"
     "${dir}/bench/${b}" --json "${repo}/BENCH_${b}.json" >"${log}" 2>&1 \
@@ -512,7 +518,7 @@ run_dsprofd_smoke() {
 
 case "${mode}" in
   --fast|fast)
-    run_pass "normal" "${repo}/build"
+    run_pass "normal" "${repo}/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
@@ -535,7 +541,7 @@ case "${mode}" in
     run_bench "${repo}/build"
     ;;
   all|--all)
-    run_pass "normal" "${repo}/build"
+    run_pass "normal" "${repo}/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"

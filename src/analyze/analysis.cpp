@@ -124,14 +124,10 @@ Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
     : Analysis(std::move(exps)) {
   // The dsprofd snapshot path: adopt the live aggregates of an
   // IncrementalReducer (or a merge_results over several) instead of
-  // re-reducing on first view access. The rendering experiments hold no
-  // events here, so the sampling-error n comes from the reduction itself —
-  // fold() tallied the same per-metric counts an offline scan of the
-  // events would.
+  // re-reducing on first view access.
   r_ = std::make_unique<ReductionResult>(std::move(precomputed));
   total_ = scaled(r_->total);
   data_total_ = scaled(r_->data_total);
-  sample_counts_cache_ = r_->sample_counts;
 }
 
 const ReductionResult& Analysis::reduce_locked() const {
@@ -620,21 +616,7 @@ u32 Analysis::access_windows() const {
   return access_windows_;
 }
 
-const std::array<u64, kNumMetrics>& Analysis::sample_counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sample_counts_cache_) return *sample_counts_cache_;
-  std::array<u64, kNumMetrics> counts{};
-  for (const auto* ex : exps_) {
-    const auto pic = ex->events.pic_col();
-    const auto event = ex->events.event_col();
-    for (size_t i = 0, n = ex->events.size(); i < n; ++i) {
-      counts[pic[i] == machine::kClockPic ? kUserCpuMetric
-                                          : static_cast<size_t>(event[i])] += 1;
-    }
-  }
-  sample_counts_cache_ = counts;
-  return *sample_counts_cache_;
-}
+const MetricCounts& Analysis::sample_counts() const { return reduce().sample_counts; }
 
 double Analysis::split_fraction(u64 base, u64 obj_size, u64 count, u64 line_size) {
   DSP_CHECK(obj_size > 0 && count > 0 && is_pow2(line_size), "bad split_fraction args");

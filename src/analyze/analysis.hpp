@@ -260,8 +260,8 @@ class Analysis {
   /// Per-metric event (sample) counts, clock samples under kUserCpuMetric —
   /// the n behind the er_opt delta report's sampling-error estimate: a
   /// metric total is a sum of n samples of weight w, so its standard error
-  /// is ~ w * sqrt(n).
-  const std::array<u64, kNumMetrics>& sample_counts() const;
+  /// is ~ w * sqrt(n). This is the reduction's own tally.
+  const MetricCounts& sample_counts() const;
 
   /// Force the reduction pass now (it otherwise runs on first view access).
   const ReductionResult& reduce() const;
@@ -309,7 +309,6 @@ class Analysis {
   mutable std::optional<std::vector<EffectivenessRow>> effectiveness_cache_;
   mutable std::optional<std::vector<AccessSample>> accesses_cache_;
   mutable u32 access_windows_ = 0;
-  mutable std::optional<std::array<u64, kNumMetrics>> sample_counts_cache_;
   mutable std::optional<std::vector<AddrRow>> segments_cache_;
   mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> pages_cache_;
   mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> cache_lines_cache_;

@@ -13,6 +13,9 @@ using isa::Op;
 namespace {
 // The events whose PIC counts are derived from cycles_ / instructions_.
 constexpr HwEvent kTimeEvents[] = {HwEvent::Cycle_cnt, HwEvent::Instr_cnt};
+// Extra base cycles for expensive ops (beyond the 1-cycle issue cost).
+constexpr u32 kMulExtraCycles = 4;
+constexpr u32 kDivExtraCycles = 40;
 }  // namespace
 
 Cpu::Cpu(mem::Memory& memory, const CpuConfig& cfg)
@@ -373,17 +376,17 @@ void Cpu::exec_hcall(i64 code, u64 pc) {
       break;
     }
     case Op::MULX:
-      cost += cfg_.mul_extra_cycles;
+      cost += kMulExtraCycles;
       wr(a * b);
       break;
     case Op::SDIVX: {
-      cost += cfg_.div_extra_cycles;
+      cost += kDivExtraCycles;
       if (b == 0) fail("division by zero at pc " + std::to_string(pc));
       wr(static_cast<u64>(static_cast<i64>(a) / static_cast<i64>(b)));
       break;
     }
     case Op::UDIVX:
-      cost += cfg_.div_extra_cycles;
+      cost += kDivExtraCycles;
       if (b == 0) fail("division by zero at pc " + std::to_string(pc));
       wr(a / b);
       break;

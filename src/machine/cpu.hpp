@@ -19,9 +19,6 @@ struct CpuConfig {
   cache::HierarchyConfig hierarchy = cache::HierarchyConfig::ultrasparc3();
   u64 clock_hz = 900'000'000;  // the paper's 900 MHz US-III Cu
   u64 seed = 1;                // drives the skid distribution
-  // Extra base cycles for expensive ops (beyond the 1-cycle issue cost).
-  u32 mul_extra_cycles = 4;
-  u32 div_extra_cycles = 40;
   // Multiplier applied to every event's skid bounds; 0 makes all counters
   // precise (used by the skid-ablation bench).
   double skid_scale = 1.0;

@@ -7,7 +7,7 @@ namespace dsprof::sa {
 using machine::TriggerKind;
 
 /// Precompute the answer for one (delivered word, trigger kind) pair by
-/// replaying the dynamic reference search (collect::backtrack_dynamic) over
+/// replaying the dynamic reference search (oracle::backtrack_dynamic) over
 /// the decoded text. Word index `dw` corresponds to delivered PC
 /// text_base + 4*dw; `dw == code.size()` is the one-past-the-end PC.
 ///

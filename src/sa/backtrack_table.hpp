@@ -11,10 +11,10 @@
 //
 // The table is built once per image (Collector does this lazily on first
 // use) and must be *bit-identical* to the dynamic reference search
-// (collect::backtrack_dynamic): same candidate PC, same found/ea_known
-// flags, same EA, for every delivered PC, trigger kind, and register set.
-// tests/sa_test.cpp and tests/scc_fuzz_test.cpp enforce the equivalence;
-// bench/backtrack_table measures the win.
+// (oracle::backtrack_dynamic, tests/backtrack_oracle.hpp): same candidate
+// PC, same found/ea_known flags, same EA, for every delivered PC, trigger
+// kind, and register set. tests/sa_test.cpp and tests/scc_fuzz_test.cpp
+// enforce the equivalence; bench/backtrack_table measures the win.
 //
 // Conservative annulled-delay-slot rule (shared with the dynamic search):
 // the clobber scan treats every instruction between the candidate and the
@@ -22,7 +22,7 @@
 // annulling branch may have skipped at run time. An annulled slot that
 // *would* have written an address register therefore downgrades the answer
 // to ea_known=false — a lost sample, never a wrong address. See
-// backtrack_dynamic in collect/collector.hpp for the rationale.
+// backtrack_dynamic in tests/backtrack_oracle.hpp for the rationale.
 #pragma once
 
 #include <array>

@@ -247,10 +247,6 @@ void Server::reader_main(Session& s) {
           return Status::make(StatusCode::Refused, "EventBatch before Hello");
         experiment::EventStore batch;
         if (Status st = decode_event_batch(std::move(f.payload), batch); !st.ok()) return st;
-        if (opt_.max_batch_events != 0 && batch.size() > opt_.max_batch_events)
-          return Status::make(StatusCode::Refused,
-                              "batch of " + std::to_string(batch.size()) +
-                                  " events exceeds per-batch cap");
         const u64 n = batch.size();
         std::unique_lock<std::mutex> lock(s.qmu);
         // Queue-free fast path: the reducer is idle and nothing is queued,
@@ -267,30 +263,7 @@ void Server::reader_main(Session& s) {
           lock.unlock();
           c_events_in().add(n);
           c_batches_in().add();
-          const u64 t0 = now_ns();
-          u64 folded = n;
-          {
-            const obs::ScopedSpan span(fold_span());
-            try {
-              s.reducer->fold(batch, 0, batch.size());
-            } catch (const Error&) {
-              // Same defensive stance as the reducer thread: a fold
-              // invariant accounts the batch as dropped, never kills the
-              // daemon (fold bumps its counter only on success).
-              folded = 0;
-            }
-          }
-          const u64 t1 = now_ns();
-          h_reduce_ns().record(t1 - t0);
-          lock.lock();
-          s.reducing = false;
-          if (folded != 0) s.events_reduced += folded;
-          else s.events_dropped += n;
-          s.reduce_calls += 1;
-          s.reduce_ns += t1 - t0;
-          s.direct_folds += 1;
-          c_direct_folds().add();
-          if (s.queue.empty()) s.drain_cv.notify_all();
+          fold_batch(s, batch, /*direct=*/true);
           return {};
         }
         if (s.queue.size() >= opt_.max_queued_batches) {
@@ -443,33 +416,41 @@ void Server::reducer_main(Session& s) {
       s.space_cv.notify_one();
     }
     if (opt_.before_reduce) opt_.before_reduce(s.id);
-    const u64 t0 = now_ns();
-    h_queue_wait_ns().record(t0 - enq_ns);
+    h_queue_wait_ns().record(now_ns() - enq_ns);
+    fold_batch(s, batch, /*direct=*/false);
+  }
+  std::lock_guard<std::mutex> lock(s.qmu);
+  s.drain_cv.notify_all();
+}
+
+void Server::fold_batch(Session& s, const experiment::EventStore& batch, bool direct) {
+  const u64 t0 = now_ns();
+  u64 folded = batch.size();
+  {
     const obs::ScopedSpan span(fold_span());
-    u64 folded = batch.size();
     try {
       s.reducer->fold(batch, 0, batch.size());
     } catch (const Error&) {
-      // Defensive: deserialize_aligned already validated the batch, but
-      // a long-lived daemon must not die on a fold invariant. The batch is
+      // Defensive: decode_event_batch already validated the batch, but a
+      // long-lived daemon must not die on a fold invariant. The batch is
       // accounted as dropped (fold bumps its counter only on success), so
       // events_in == events_reduced + events_dropped still holds.
       folded = 0;
     }
-    const u64 t1 = now_ns();
-    h_reduce_ns().record(t1 - t0);
-    {
-      std::lock_guard<std::mutex> lock(s.qmu);
-      s.reducing = false;
-      if (folded != 0) s.events_reduced += folded;
-      else s.events_dropped += batch.size();
-      s.reduce_calls += 1;
-      s.reduce_ns += t1 - t0;
-      if (s.queue.empty()) s.drain_cv.notify_all();
-    }
   }
+  const u64 t1 = now_ns();
+  h_reduce_ns().record(t1 - t0);
   std::lock_guard<std::mutex> lock(s.qmu);
-  s.drain_cv.notify_all();
+  s.reducing = false;
+  if (folded != 0) s.events_reduced += folded;
+  else s.events_dropped += batch.size();
+  s.reduce_calls += 1;
+  s.reduce_ns += t1 - t0;
+  if (direct) {
+    s.direct_folds += 1;
+    c_direct_folds().add();
+  }
+  if (s.queue.empty()) s.drain_cv.notify_all();
 }
 
 void Server::finalize(Session& s) {

@@ -79,9 +79,6 @@ struct ServerOptions {
   enum class Overload { DropOldest, Block };
   Overload overload = Overload::DropOldest;
 
-  /// Reject event batches larger than this many events (0 = no cap).
-  size_t max_batch_events = 0;
-
   /// Test seam: called by the reducer thread before each fold. Stalling
   /// here makes the queue overflow deterministically (overload tests).
   /// Installing it also sends every batch through the queue (the reader
@@ -175,6 +172,12 @@ class Server {
 
   void reader_main(Session& s);
   void reducer_main(Session& s);
+  /// Fold one batch into the session's reducer and account it: the
+  /// `serve.reduce.fold_ns` sample, reduced-or-dropped counts (a fold that
+  /// throws drops the batch), `direct_folds` for a queue-free fold by the
+  /// reader, then clear `reducing` and wake drain waiters. The caller set
+  /// `reducing` under qmu and does not hold qmu here.
+  void fold_batch(Session& s, const experiment::EventStore& batch, bool direct);
   void finalize(Session& s);
   ServerStats stats_locked() const;
   /// Evict completed sessions beyond retain_sessions; callers hold mu_.

@@ -120,7 +120,9 @@ void check_tree_invariants(Network& net) {
     int count = 0;
     for (Node* c = v->pred->child; c; c = c->sibling) {
       if (c == v) ++count;
-      if (c->sibling) EXPECT_EQ(c->sibling->sibling_prev, c);
+      if (c->sibling) {
+        EXPECT_EQ(c->sibling->sibling_prev, c);
+      }
     }
     EXPECT_EQ(count, 1) << "node " << i << " not in its parent's child list once";
     ++reachable;

@@ -216,7 +216,9 @@ TEST_F(MultiplexCollect, RenormalizedTotalsMatchTheUnsampledOracle) {
     const double truth = static_cast<double>(run.c->cpu().event_total(spec.event));
     EXPECT_GT(a.metric_scale(m), 1.5) << "each set is live for about half the run";
     EXPECT_LT(a.metric_scale(m), 2.7);
-    if (samples[m] > 0) EXPECT_GT(a.metric_stderr(m), 0.0);
+    if (samples[m] > 0) {
+      EXPECT_GT(a.metric_stderr(m), 0.0);
+    }
     if (samples[m] < 50 || truth < 1000) continue;  // too sparse to estimate
     ++compared;
     EXPECT_NEAR(a.total()[m] / truth, 1.0, 0.30)

@@ -9,7 +9,7 @@
 //   * verifier report rendering (text + JSON).
 #include <gtest/gtest.h>
 
-#include "collect/collector.hpp"
+#include "backtrack_oracle.hpp"
 #include "dsl_fixtures.hpp"
 #include "mcfsim/experiments.hpp"
 #include "sa/verifier.hpp"
@@ -87,7 +87,7 @@ void expect_engines_agree(const sym::Image& img, u32 window, u64 seed,
     for (size_t r = 1; r < 32; ++r) regs[r] = rng.next();
     const u64 pc = img.text_base + 4 * w;
     for (const auto kind : {TriggerKind::Any, TriggerKind::Load, TriggerKind::LoadStore}) {
-      const BacktrackAnswer d = collect::backtrack_dynamic(img, pc, kind, regs, window);
+      const BacktrackAnswer d = oracle::backtrack_dynamic(img, pc, kind, regs, window);
       const BacktrackAnswer t = table.query(pc, kind, regs);
       ASSERT_EQ(d.found, t.found) << label << " pc=" << std::hex << pc;
       ASSERT_EQ(d.candidate_pc, t.candidate_pc) << label << " pc=" << std::hex << pc;
@@ -99,7 +99,7 @@ void expect_engines_agree(const sym::Image& img, u32 window, u64 seed,
   for (const u64 pc : {img.text_base - 4, img.text_base + 2,
                        img.text_base + img.text_size() + 4, u64{0}, ~u64{0}}) {
     const BacktrackAnswer d =
-        collect::backtrack_dynamic(img, pc, TriggerKind::Load, regs, window);
+        oracle::backtrack_dynamic(img, pc, TriggerKind::Load, regs, window);
     const BacktrackAnswer t = table.query(pc, TriggerKind::Load, regs);
     EXPECT_EQ(d.found, t.found) << label;
     EXPECT_FALSE(t.found) << label;
@@ -160,7 +160,9 @@ TEST(Cfg, SuccessorEdgesPointAtBlockStarts) {
     for (u32 s : blk.succ) {
       ASSERT_LT(s, cfg.blocks().size());
       // A reachable block only reaches other reachable blocks.
-      if (blk.reachable) EXPECT_TRUE(cfg.blocks()[s].reachable);
+      if (blk.reachable) {
+        EXPECT_TRUE(cfg.blocks()[s].reachable);
+      }
     }
   }
 }
@@ -233,7 +235,7 @@ TEST(BacktrackTable, AnnulledDelaySlotClobberIsConservative) {
     const sym::Image img = build(mov_ri(L1, 5));
     const BacktrackTable table = BacktrackTable::build(img, 16);
     const BacktrackAnswer d =
-        collect::backtrack_dynamic(img, delivered, TriggerKind::Load, regs, 16);
+        oracle::backtrack_dynamic(img, delivered, TriggerKind::Load, regs, 16);
     const BacktrackAnswer t = table.query(delivered, TriggerKind::Load, regs);
     EXPECT_TRUE(d.found);
     EXPECT_EQ(d.candidate_pc, img.text_base);
@@ -250,7 +252,7 @@ TEST(BacktrackTable, AnnulledDelaySlotClobberIsConservative) {
     const sym::Image img = build(mov_ri(L2, 5));
     const BacktrackTable table = BacktrackTable::build(img, 16);
     const BacktrackAnswer d =
-        collect::backtrack_dynamic(img, delivered, TriggerKind::Load, regs, 16);
+        oracle::backtrack_dynamic(img, delivered, TriggerKind::Load, regs, 16);
     const BacktrackAnswer t = table.query(delivered, TriggerKind::Load, regs);
     EXPECT_TRUE(d.found);
     EXPECT_TRUE(d.ea_known);

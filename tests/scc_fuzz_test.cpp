@@ -3,7 +3,7 @@
 // DSL program must produce identical results on the simulated machine.
 #include <gtest/gtest.h>
 
-#include "collect/collector.hpp"
+#include "backtrack_oracle.hpp"
 #include "machine/cpu.hpp"
 #include "sa/dataflow.hpp"
 #include "sa/lint.hpp"
@@ -297,7 +297,7 @@ TEST_P(ExprFuzz, BacktrackTableMatchesDynamicOnRandomImages) {
       for (const auto kind :
            {machine::TriggerKind::Load, machine::TriggerKind::LoadStore}) {
         const sa::BacktrackAnswer d =
-            collect::backtrack_dynamic(img, pc, kind, regs, window);
+            oracle::backtrack_dynamic(img, pc, kind, regs, window);
         const sa::BacktrackAnswer t = table.query(pc, kind, regs);
         ASSERT_EQ(d.found, t.found)
             << "seed " << GetParam() << " window " << window << " pc " << std::hex << pc;

@@ -1,7 +1,6 @@
 // DATAFLOW — throughput of the static dataflow pipeline (sa/dataflow.hpp,
-// sa/loops.hpp): ProgramFacts + liveness + reaching definitions +
-// attribution coverage + dominators/loops/strides, end to end over the MCF
-// case-study images.
+// sa/loops.hpp): ProgramFacts + liveness + attribution coverage +
+// dominators/loops/strides, end to end over the MCF case-study images.
 //
 // The analyses run once per image at verify time (s3verify) and before any
 // simulation is spent, so the bar is absolute throughput, not a speedup:
@@ -54,11 +53,9 @@ u64 run_pipeline(const sym::Image& img, const sa::Cfg& cfg,
                  const sa::BacktrackTable& table) {
   const sa::ProgramFacts pf = sa::ProgramFacts::build(img, cfg);
   const sa::Liveness lv = sa::Liveness::build(pf);
-  const sa::ReachingDefs rd = sa::ReachingDefs::build(pf);
   const sa::AttributionCoverage cov = sa::AttributionCoverage::build(img, cfg, table);
   const sa::LoopAnalysis la = sa::LoopAnalysis::build(pf, img);
-  return lv.solver_iterations() + rd.def_sites().size() + cov.attributable() +
-         la.loops().size();
+  return lv.solver_iterations() + cov.attributable() + la.loops().size();
 }
 
 }  // namespace

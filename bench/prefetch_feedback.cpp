@@ -18,8 +18,6 @@ int main(int argc, char** argv) {
   const bench::JsonSink json_out(argc, argv, "prefetch_feedback");
   std::puts("== FW1: prefetch feedback -> recompile with prefetch insertion ==");
   auto setup = mcfsim::PaperSetup::small();
-  // Disable the hardware stream prefetch so the software prefetch matters.
-  setup.cpu.hierarchy.ec_stream_prefetch = false;
 
   // 1. Profile and write the feedback file.
   const auto exps = mcfsim::collect_paper_experiments(setup);

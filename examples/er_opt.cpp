@@ -12,8 +12,9 @@
 //                                     sampling significance, plus an
 //                                     uninstrumented cycle comparison
 //
-// The plan's text form round-trips (src/opt/plan.hpp), so a saved plan can
-// be inspected, edited, and replayed.
+// The plan is written for people (text, also saved by --plan-out) and for
+// tools (-J); nothing reads a plan back, so a saved plan is a record of what
+// the loop applied (src/opt/plan.hpp).
 #include <cstdio>
 #include <cstring>
 #include <fstream>

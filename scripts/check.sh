@@ -3,7 +3,8 @@
 # warnings are errors: CMAKE_COMPILE_WARNING_AS_ERROR) and once under
 # AddressSanitizer (DSPROF_SANITIZE=address); the simulator and trust-boundary
 # suites once more under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined);
-# plus these
+# the suites that run threads once more under ThreadSanitizer
+# (DSPROF_SANITIZE=thread); plus these
 # static/dynamic gates:
 #   - clang-tidy over src/sa/, src/opt/, src/collect/, src/machine/,
 #     src/obs/, src/serve/, src/experiment/ and src/analyze/ (skipped with a
@@ -51,6 +52,7 @@
 #   scripts/check.sh --fast     # normal pass + gates only
 #   scripts/check.sh --asan     # ASan pass only
 #   scripts/check.sh --ubsan    # UBSan pass over the simulator and boundary suites only
+#   scripts/check.sh --tsan     # TSan pass over the threaded suites only
 #   scripts/check.sh --bench    # benchmark sweep only (BENCH_*.json)
 #
 # Exits nonzero on the first failing step.
@@ -93,6 +95,23 @@ run_ubsan() {
   for t in "${ubsan_suites[@]}"; do
     echo "== ubsan: ${t} =="
     UBSAN_OPTIONS=print_stacktrace=1 "${dir}/tests/${t}" --gtest_brief=1
+  done
+}
+
+# TSan over the suites that run threads: the Analysis concurrent-reader
+# contract (analyze_test ConcurrentReaders), the obs per-thread shards
+# (obs_test), the threaded Reduction::run folds (event_store_test) and the
+# dsprofd session reader/reducer threads (serve_test). Any report is fatal
+# (halt_on_error), so a clean exit is a clean pass.
+tsan_suites=(analyze_test obs_test event_store_test serve_test)
+run_tsan() {
+  local dir="$1" t
+  echo "== tsan: configure + build ${tsan_suites[*]} (${dir}) =="
+  cmake -B "${dir}" -S "${repo}" -DDSPROF_SANITIZE=thread
+  cmake --build "${dir}" -j "${jobs}" --target "${tsan_suites[@]}"
+  for t in "${tsan_suites[@]}"; do
+    echo "== tsan: ${t} =="
+    TSAN_OPTIONS=halt_on_error=1 "${dir}/tests/${t}" --gtest_brief=1
   done
 }
 
@@ -536,6 +555,9 @@ case "${mode}" in
   --ubsan|ubsan)
     run_ubsan "${repo}/build-ubsan"
     ;;
+  --tsan|tsan)
+    run_tsan "${repo}/build-tsan"
+    ;;
   --bench|bench)
     cmake -B "${repo}/build" -S "${repo}" >/dev/null
     run_bench "${repo}/build"
@@ -555,9 +577,10 @@ case "${mode}" in
     run_bench "${repo}/build"
     run_pass "asan" "${repo}/build-asan" -DDSPROF_SANITIZE=address
     run_ubsan "${repo}/build-ubsan"
+    run_tsan "${repo}/build-tsan"
     ;;
   *)
-    echo "usage: $0 [--fast|--asan|--ubsan|--bench]" >&2
+    echo "usage: $0 [--fast|--asan|--ubsan|--tsan|--bench]" >&2
     exit 2
     ;;
 esac

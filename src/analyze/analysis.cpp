@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <tuple>
 
 #include "isa/isa.hpp"
@@ -38,16 +39,37 @@ bool data_cat_is_unknown(DataCat c) {
          c == DataCat::Unverifiable;
 }
 
+namespace {
+
+/// An Analysis renders its experiments together, so they must share one
+/// binary; checked before any reduction runs.
+const std::vector<const experiment::Experiment*>& same_binary(
+    const std::vector<const experiment::Experiment*>& exps) {
+  DSP_CHECK(!exps.empty(), "no experiments to analyze");
+  for (const auto* ex : exps) {
+    DSP_CHECK(ex->image.text_words == exps[0]->image.text_words &&
+                  ex->image.entry == exps[0]->image.entry,
+              "experiments must come from the same binary");
+  }
+  return exps;
+}
+
+}  // namespace
+
 Analysis::Analysis(std::vector<const experiment::Experiment*> exps)
-    : exps_(std::move(exps)) {
-  DSP_CHECK(!exps_.empty(), "no experiments to analyze");
+    : Analysis(exps, Reduction::run(same_binary(exps))) {}
+
+Analysis::Analysis(const experiment::Experiment& ex, ReductionResult precomputed)
+    : Analysis(std::vector<const experiment::Experiment*>{&ex}, std::move(precomputed)) {}
+
+Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
+                   ReductionResult precomputed)
+    : exps_(same_binary(exps)), r_(std::move(precomputed)) {
   image_ = &exps_[0]->image;
   clock_hz_ = exps_[0]->clock_hz;
   page_size_ = exps_[0]->page_size;
   ec_line_size_ = exps_[0]->ec_line_size;
   for (const auto* ex : exps_) {
-    DSP_CHECK(ex->image.text_words == image_->text_words && ex->image.entry == image_->entry,
-              "experiments must come from the same binary");
     if (run_cycles_ == 0) {
       run_cycles_ = ex->total_cycles;
       run_instructions_ = ex->total_instructions;
@@ -55,6 +77,8 @@ Analysis::Analysis(std::vector<const experiment::Experiment*> exps)
     if (allocations_.empty()) allocations_ = ex->allocations;
   }
   compute_scales();
+  total_ = scaled(r_.total);
+  data_total_ = scaled(r_.data_total);
 }
 
 void Analysis::compute_scales() {
@@ -116,95 +140,38 @@ double Analysis::metric_stderr(size_t metric) const {
          std::sqrt(static_cast<double>(n));
 }
 
-Analysis::Analysis(const experiment::Experiment& ex, ReductionResult precomputed)
-    : Analysis(std::vector<const experiment::Experiment*>{&ex}, std::move(precomputed)) {}
-
-Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
-                   ReductionResult precomputed)
-    : Analysis(std::move(exps)) {
-  // The dsprofd snapshot path: adopt the live aggregates of an
-  // IncrementalReducer (or a merge_results over several) instead of
-  // re-reducing on first view access.
-  r_ = std::make_unique<ReductionResult>(std::move(precomputed));
-  total_ = scaled(r_->total);
-  data_total_ = scaled(r_->data_total);
-}
-
-const ReductionResult& Analysis::reduce_locked() const {
-  if (!r_) {
-    r_ = std::make_unique<ReductionResult>(Reduction::run(exps_));
-    total_ = scaled(r_->total);
-    data_total_ = scaled(r_->data_total);
-  }
-  return *r_;
-}
-
-const ReductionResult& Analysis::reduce() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reduce_locked();
-}
-
-const std::array<bool, kNumMetrics>& Analysis::present() const { return reduce().present; }
-
-const MetricVector& Analysis::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  reduce_locked();
-  return total_;
-}
-
-const MetricVector& Analysis::data_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  reduce_locked();
-  return data_total_;
-}
-
-const std::string& Analysis::func_name(u32 id) const { return r_->func_names[id]; }
-
 // ---------------------------------------------------------------------------
 // Code-space views
 
-const std::vector<Analysis::FunctionRow>& Analysis::functions(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = functions_cache_.find(sort_metric);
-  if (it != functions_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::FunctionRow> Analysis::functions(size_t sort_metric) const {
   std::vector<FunctionRow> rows;
-  rows.reserve(r.func.size());
-  for (const auto& e : r.func.entries()) {
+  rows.reserve(r_.func.size());
+  for (const auto& e : r_.func.entries()) {
     rows.push_back({func_name(static_cast<u32>(e.key)), scaled(e.value)});
   }
   std::sort(rows.begin(), rows.end(), [&](const FunctionRow& a, const FunctionRow& b) {
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return functions_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::FunctionRow>& Analysis::functions_inclusive(
-    size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = inclusive_cache_.find(sort_metric);
-  if (it != inclusive_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::FunctionRow> Analysis::functions_inclusive(size_t sort_metric) const {
   std::vector<FunctionRow> rows;
-  rows.reserve(r.incl.size());
-  for (const auto& e : r.incl.entries()) {
+  rows.reserve(r_.incl.size());
+  for (const auto& e : r_.incl.entries()) {
     rows.push_back({func_name(static_cast<u32>(e.key)), scaled(e.value)});
   }
   std::sort(rows.begin(), rows.end(), [&](const FunctionRow& a, const FunctionRow& b) {
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return inclusive_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EdgeRow>& Analysis::callers_of(const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = callers_cache_.find(function);
-  if (it != callers_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EdgeRow> Analysis::callers_of(const std::string& function) const {
   std::vector<EdgeRow> rows;
-  for (const auto& e : r.edge.entries()) {
+  for (const auto& e : r_.edge.entries()) {
     const u32 callee = static_cast<u32>(e.key & 0xffffffffu);
     if (func_name(callee) == function) {
       rows.push_back({func_name(static_cast<u32>(e.key >> 32)), scaled(e.value)});
@@ -212,16 +179,12 @@ const std::vector<Analysis::EdgeRow>& Analysis::callers_of(const std::string& fu
   }
   std::sort(rows.begin(), rows.end(),
             [](const EdgeRow& a, const EdgeRow& b) { return a.name < b.name; });
-  return callers_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EdgeRow>& Analysis::callees_of(const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = callees_cache_.find(function);
-  if (it != callees_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EdgeRow> Analysis::callees_of(const std::string& function) const {
   std::vector<EdgeRow> rows;
-  for (const auto& e : r.edge.entries()) {
+  for (const auto& e : r_.edge.entries()) {
     const u32 caller = static_cast<u32>(e.key >> 32);
     if (func_name(caller) == function) {
       rows.push_back(
@@ -230,17 +193,13 @@ const std::vector<Analysis::EdgeRow>& Analysis::callees_of(const std::string& fu
   }
   std::sort(rows.begin(), rows.end(),
             [](const EdgeRow& a, const EdgeRow& b) { return a.name < b.name; });
-  return callees_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::PcRow>& Analysis::pcs(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pcs_cache_.find(sort_metric);
-  if (it != pcs_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::PcRow> Analysis::pcs(size_t sort_metric) const {
   std::vector<PcRow> rows;
-  rows.reserve(r.pc.size());
-  for (const auto& e : r.pc.entries()) {
+  rows.reserve(r_.pc.size());
+  for (const auto& e : r_.pc.entries()) {
     rows.push_back({e.key >> 1, (e.key & 1) != 0, scaled(e.value)});
   }
   std::sort(rows.begin(), rows.end(), [&](const PcRow& a, const PcRow& b) {
@@ -248,7 +207,7 @@ const std::vector<Analysis::PcRow>& Analysis::pcs(size_t sort_metric) const {
     if (a.pc != b.pc) return a.pc < b.pc;
     return a.artificial < b.artificial;
   });
-  return pcs_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
 std::string Analysis::pc_name(u64 pc) const {
@@ -263,12 +222,7 @@ std::string Analysis::pc_name(u64 pc) const {
   return buf;
 }
 
-const std::vector<Analysis::LineRow>& Analysis::annotated_source(
-    const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = source_cache_.find(function);
-  if (it != source_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::LineRow> Analysis::annotated_source(const std::string& function) const {
   const sym::SymbolTable& st = image_->symtab;
   const sym::FuncInfo* fi = nullptr;
   for (const auto& f : st.functions()) {
@@ -290,19 +244,15 @@ const std::vector<Analysis::LineRow>& Analysis::annotated_source(
       LineRow row;
       row.line = line;
       if (const std::string* text = st.source_text(line)) row.text = *text;
-      if (const MetricCounts* c = r.line.find(line)) row.mv = scaled(*c);
+      if (const MetricCounts* c = r_.line.find(line)) row.mv = scaled(*c);
       rows.push_back(std::move(row));
     }
   }
-  return source_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::DisasmRow>& Analysis::annotated_disassembly(
+std::vector<Analysis::DisasmRow> Analysis::annotated_disassembly(
     const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = disasm_cache_.find(function);
-  if (it != disasm_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
   const sym::SymbolTable& st = image_->symtab;
   const sym::FuncInfo* fi = nullptr;
   for (const auto& f : st.functions()) {
@@ -320,7 +270,7 @@ const std::vector<Analysis::DisasmRow>& Analysis::annotated_disassembly(
         row.artificial = true;
         row.line = st.line_for(pc).value_or(0);
         row.text = "<branch target>";
-        if (const MetricCounts* c = r.pc.find((pc << 1) | 1)) row.mv = scaled(*c);
+        if (const MetricCounts* c = r_.pc.find((pc << 1) | 1)) row.mv = scaled(*c);
         rows.push_back(std::move(row));
       }
     }
@@ -330,23 +280,19 @@ const std::vector<Analysis::DisasmRow>& Analysis::annotated_disassembly(
     const u64 idx = (pc - image_->text_base) / 4;
     row.text = isa::disassemble(isa::decode(image_->text_words[idx]), pc);
     row.data_annot = st.memref_string(pc);
-    if (const MetricCounts* c = r.pc.find(pc << 1)) row.mv = scaled(*c);
+    if (const MetricCounts* c = r_.pc.find(pc << 1)) row.mv = scaled(*c);
     rows.push_back(std::move(row));
   }
-  return disasm_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
 // Data-space views
 
-const std::vector<Analysis::DataObjectRow>& Analysis::data_objects(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = data_objects_cache_.find(sort_metric);
-  if (it != data_objects_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::DataObjectRow> Analysis::data_objects(size_t sort_metric) const {
   std::vector<DataObjectRow> rows;
-  rows.reserve(r.data.size());
-  for (const auto& e : r.data.entries()) {
+  rows.reserve(r_.data.size());
+  for (const auto& e : r_.data.entries()) {
     DataObjectRow row;
     row.cat = static_cast<DataCat>(e.key >> 32);
     row.sid = static_cast<sym::TypeId>(e.key & 0xffffffffu);
@@ -362,14 +308,10 @@ const std::vector<Analysis::DataObjectRow>& Analysis::data_objects(size_t sort_m
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return data_objects_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::MemberRow>& Analysis::members(const std::string& struct_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = members_cache_.find(struct_name);
-  if (it != members_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::MemberRow> Analysis::members(const std::string& struct_name) const {
   const sym::TypeTable& tt = image_->symtab.types();
   const sym::TypeId sid = tt.find_struct(struct_name);
   DSP_CHECK(sid != sym::kInvalidType, "no such struct: " + struct_name);
@@ -383,26 +325,23 @@ const std::vector<Analysis::MemberRow>& Analysis::members(const std::string& str
     row.offset = mem.offset;
     row.name = "+" + std::to_string(mem.offset) + ". {" + tt.type_string(mem.type) + " " +
                mem.name + "}";
-    if (const MetricCounts* c = r.member.find((u64{sid} << 32) | m)) {
+    if (const MetricCounts* c = r_.member.find((u64{sid} << 32) | m)) {
       row.mv = scaled(*c);
     }
     rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(),
             [](const MemberRow& a, const MemberRow& b) { return a.offset < b.offset; });
-  return members_cache_.emplace(struct_name, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EffectivenessRow>& Analysis::effectiveness() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (effectiveness_cache_) return *effectiveness_cache_;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EffectivenessRow> Analysis::effectiveness() const {
   std::vector<EffectivenessRow> rows;
   for (size_t metric = 0; metric < machine::kNumHwEvents; ++metric) {
-    if (!r.present[metric]) continue;
+    if (!r_.present[metric]) continue;
     EffectivenessRow row;
     row.metric = metric;
-    for (const auto& e : r.data.entries()) {
+    for (const auto& e : r_.data.entries()) {
       const auto cat = static_cast<DataCat>(e.key >> 32);
       // Scaled like every other view; the effectiveness ratio itself is
       // scale-invariant (numerator and denominator share the factor).
@@ -414,8 +353,7 @@ const std::vector<Analysis::EffectivenessRow>& Analysis::effectiveness() const {
     }
     if (row.total > 0) rows.push_back(row);
   }
-  effectiveness_cache_ = std::move(rows);
-  return *effectiveness_cache_;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -433,28 +371,19 @@ const char* classify_segment(const sym::Image& img, u64 ea) {
 
 }  // namespace
 
-const std::vector<Analysis::AddrRow>& Analysis::segments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (segments_cache_) return *segments_cache_;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::segments() const {
   std::map<std::string, MetricVector> acc;
-  for (const auto& s : r.ea_samples) {
+  for (const auto& s : r_.ea_samples) {
     add_to(acc[classify_segment(*image_, s.ea)], s.metric, s.w * scale_[s.metric]);
   }
   std::vector<AddrRow> rows;
   for (const auto& [name, mv] : acc) rows.push_back({name, 0, mv});
-  segments_cache_ = std::move(rows);
-  return *segments_cache_;
+  return rows;
 }
 
-const std::vector<Analysis::AddrRow>& Analysis::pages(size_t sort_metric, size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_cache_.find(key);
-  if (it != pages_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::pages(size_t sort_metric, size_t top_n) const {
   std::map<u64, MetricVector> acc;
-  for (const auto& s : r.ea_samples) {
+  for (const auto& s : r_.ea_samples) {
     add_to(acc[s.ea / page_size_ * page_size_], s.metric, s.w * scale_[s.metric]);
   }
   std::vector<AddrRow> rows;
@@ -467,18 +396,12 @@ const std::vector<Analysis::AddrRow>& Analysis::pages(size_t sort_metric, size_t
     return a.mv[sort_metric] > b.mv[sort_metric];
   });
   if (rows.size() > top_n) rows.resize(top_n);
-  return pages_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::AddrRow>& Analysis::cache_lines(size_t sort_metric,
-                                                            size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_lines_cache_.find(key);
-  if (it != cache_lines_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::cache_lines(size_t sort_metric, size_t top_n) const {
   std::map<u64, MetricVector> acc;
-  for (const auto& s : r.ea_samples) {
+  for (const auto& s : r_.ea_samples) {
     add_to(acc[s.ea / ec_line_size_ * ec_line_size_], s.metric, s.w * scale_[s.metric]);
   }
   std::vector<AddrRow> rows;
@@ -491,16 +414,11 @@ const std::vector<Analysis::AddrRow>& Analysis::cache_lines(size_t sort_metric,
     return a.mv[sort_metric] > b.mv[sort_metric];
   });
   if (rows.size() > top_n) rows.resize(top_n);
-  return cache_lines_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric,
-                                                              size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = instances_cache_.find(key);
-  if (it != instances_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::InstanceRow> Analysis::instances(size_t sort_metric,
+                                                      size_t top_n) const {
   std::vector<InstanceRow> rows;
   if (!allocations_.empty()) {
     // Name instances the paper's way — allocating function + per-function
@@ -526,7 +444,7 @@ const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric
     std::sort(allocs.begin(), allocs.end(),
               [](const Named& a, const Named& b) { return a.addr < b.addr; });
     std::map<size_t, MetricVector> acc;
-    for (const auto& s : r.ea_samples) {
+    for (const auto& s : r_.ea_samples) {
       auto ub = std::upper_bound(allocs.begin(), allocs.end(), s.ea,
                                  [](u64 ea, const Named& a) { return ea < a.addr; });
       if (ub == allocs.begin()) continue;
@@ -545,16 +463,14 @@ const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric
     });
     if (rows.size() > top_n) rows.resize(top_n);
   }
-  return instances_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
 // Per-access samples (the src/opt/ feedback loop)
 
-const std::vector<Analysis::AccessSample>& Analysis::member_accesses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (accesses_cache_) return *accesses_cache_;
-  std::vector<AccessSample> out;
+Analysis::MemberAccesses Analysis::member_accesses() const {
+  MemberAccesses out;
   // Window interning: (experiment, interned-callstack handle, leaf function
   // entry). Dense ids are assigned in event order — a serial pass over the
   // raw columns, so the result (and every plan derived from it) is
@@ -602,21 +518,12 @@ const std::vector<Analysis::AccessSample>& Analysis::member_accesses() const {
       s.member = ref->member;
       s.metric = static_cast<size_t>(event[i]);
       s.weight = weight[i];
-      out.push_back(s);
+      out.samples.push_back(s);
     }
   }
-  access_windows_ = static_cast<u32>(windows.size());
-  accesses_cache_ = std::move(out);
-  return *accesses_cache_;
+  out.windows = static_cast<u32>(windows.size());
+  return out;
 }
-
-u32 Analysis::access_windows() const {
-  member_accesses();  // fills access_windows_
-  std::lock_guard<std::mutex> lock(mu_);
-  return access_windows_;
-}
-
-const MetricCounts& Analysis::sample_counts() const { return reduce().sample_counts; }
 
 double Analysis::split_fraction(u64 base, u64 obj_size, u64 count, u64 line_size) {
   DSP_CHECK(obj_size > 0 && count > 0 && is_pow2(line_size), "bad split_fraction args");

@@ -10,27 +10,19 @@
 //   (Unidentified)    compiler did not identify the object (temporary)
 //   (Unverifiable)    branch-target info inadequate to validate the trigger
 //
-// Analysis is a lazy facade over Reduction::run (reduction.hpp):
-// construction only records which experiments to analyze; the single
-// reduction pass runs on first view access (parallel across event shards),
-// and every rendered view is memoized so repeated render_* calls do not
-// re-sort.
+// Analysis is an immutable value over one ReductionResult (reduction.hpp).
+// The offline constructors run Reduction::run over the experiments (parallel
+// across event shards); the precomputed constructors adopt a result the
+// caller already folded. Every view computes its rows from that result when
+// called and returns them by value; nothing is cached.
 //
-// Thread safety: the lazy reduction and every memoized view are guarded by
-// one internal mutex, so concurrent readers (e.g. two dsprofd snapshot
-// requests, or two report renderers sharing one Analysis) may call any
-// const view accessor from any thread. The returned references stay valid
-// for the lifetime of the Analysis — caches only grow, they are never
-// invalidated.
+// Thread safety: nothing mutates after construction, so any number of
+// threads may call the const accessors concurrently without a lock.
 //
 // Lifetime: the analyzed experiments must outlive the Analysis (it keeps
 // pointers, not copies — experiments can hold millions of events).
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "analyze/metrics.hpp"
@@ -56,18 +48,18 @@ bool data_cat_is_unknown(DataCat c);  // true for the five <Unknown> children
 class Analysis {
  public:
   /// Analyze one or more experiments from the *same binary* together (the
-  /// paper's MCF study combines two collect runs). The experiments must
-  /// outlive this Analysis.
+  /// paper's MCF study combines two collect runs): reduces their events now.
+  /// The experiments must outlive this Analysis.
   explicit Analysis(std::vector<const experiment::Experiment*> exps);
   explicit Analysis(const experiment::Experiment& ex)
       : Analysis(std::vector<const experiment::Experiment*>{&ex}) {}
 
-  /// Wrap a *precomputed* reduction: views render from `precomputed` without
-  /// re-reducing. This is the dsprofd snapshot path — the server folds
-  /// batches into an IncrementalReducer as they arrive and hands a copy of
-  /// the live aggregates here, so a snapshot renders the exact views an
-  /// offline Analysis over the same events would (reduction.hpp documents
-  /// why the two are bit-identical). `ex` supplies the image, clock, and
+  /// Wrap a *precomputed* reduction: views render from `precomputed`. This
+  /// is the dsprofd snapshot path — the server folds batches into an
+  /// IncrementalReducer as they arrive and hands a copy of the live
+  /// aggregates here, so a snapshot renders the exact views an offline
+  /// Analysis over the same events would (reduction.hpp documents why the
+  /// two are bit-identical). `ex` supplies the image, clock, and
   /// allocation context and must outlive this Analysis.
   Analysis(const experiment::Experiment& ex, ReductionResult precomputed);
 
@@ -91,7 +83,7 @@ class Analysis {
   u64 ec_line_size() const { return ec_line_size_; }
 
   /// Which metrics have any data.
-  const std::array<bool, kNumMetrics>& present() const;
+  const std::array<bool, kNumMetrics>& present() const { return r_.present; }
 
   // --- multiplexing renormalization -----------------------------------------
   /// True when any analyzed experiment time-sliced its counters across more
@@ -116,9 +108,9 @@ class Analysis {
   MetricVector scaled(const MetricCounts& c) const;
 
   /// Grand totals per metric (the <Total> pseudo-function).
-  const MetricVector& total() const;
+  const MetricVector& total() const { return total_; }
   /// Data-space grand totals (clock samples carry no data metrics).
-  const MetricVector& data_total() const;
+  const MetricVector& data_total() const { return data_total_; }
 
   double seconds(double cycles) const { return cycles / static_cast<double>(clock_hz_); }
 
@@ -128,11 +120,11 @@ class Analysis {
     MetricVector mv{};
   };
   /// Exclusive metrics per function, descending by `sort_metric`.
-  const std::vector<FunctionRow>& functions(size_t sort_metric) const;
+  std::vector<FunctionRow> functions(size_t sort_metric) const;
 
   /// Inclusive metrics (exclusive + everything called from the function,
   /// via the recorded callstacks), descending by `sort_metric`.
-  const std::vector<FunctionRow>& functions_inclusive(size_t sort_metric) const;
+  std::vector<FunctionRow> functions_inclusive(size_t sort_metric) const;
 
   /// Callers-callees view (paper §2.3: "to show callers and callees of a
   /// function, with information about how the performance metrics are
@@ -141,15 +133,15 @@ class Analysis {
     std::string name;
     MetricVector attributed{};
   };
-  const std::vector<EdgeRow>& callers_of(const std::string& function) const;
-  const std::vector<EdgeRow>& callees_of(const std::string& function) const;
+  std::vector<EdgeRow> callers_of(const std::string& function) const;
+  std::vector<EdgeRow> callees_of(const std::string& function) const;
 
   struct PcRow {
     u64 pc = 0;
     bool artificial = false;  // an inserted <branch target> PC
     MetricVector mv{};
   };
-  const std::vector<PcRow>& pcs(size_t sort_metric) const;
+  std::vector<PcRow> pcs(size_t sort_metric) const;
   /// "refresh_potential + 0x000000D0" (paper Figure 5 naming).
   std::string pc_name(u64 pc) const;
 
@@ -159,7 +151,7 @@ class Analysis {
     MetricVector mv{};
   };
   /// Annotated source of a function (paper Figure 3).
-  const std::vector<LineRow>& annotated_source(const std::string& function) const;
+  std::vector<LineRow> annotated_source(const std::string& function) const;
 
   struct DisasmRow {
     u64 pc = 0;
@@ -170,7 +162,7 @@ class Analysis {
     MetricVector mv{};
   };
   /// Annotated disassembly of a function (paper Figure 4).
-  const std::vector<DisasmRow>& annotated_disassembly(const std::string& function) const;
+  std::vector<DisasmRow> annotated_disassembly(const std::string& function) const;
 
   // --- data-space views -------------------------------------------------------
   struct DataObjectRow {
@@ -181,7 +173,7 @@ class Analysis {
   };
   /// All data objects, descending by `sort_metric`. The <Unknown> aggregate
   /// is not included (it is the sum of the rows whose cat is an unknown).
-  const std::vector<DataObjectRow>& data_objects(size_t sort_metric) const;
+  std::vector<DataObjectRow> data_objects(size_t sort_metric) const;
 
   struct MemberRow {
     u32 member = 0;
@@ -191,7 +183,7 @@ class Analysis {
   };
   /// Member expansion of a struct data object (paper Figure 7), in layout
   /// (offset) order, including zero-metric members.
-  const std::vector<MemberRow>& members(const std::string& struct_name) const;
+  std::vector<MemberRow> members(const std::string& struct_name) const;
 
   /// Backtracking effectiveness per hardware metric (§3.2.5): fraction of
   /// the metric's data-space total attributed to real objects, i.e.
@@ -202,7 +194,7 @@ class Analysis {
     double unresolved = 0;  // Unresolvable + Unascertainable + Unverifiable
     double effectiveness() const { return total == 0 ? 1.0 : 1.0 - unresolved / total; }
   };
-  const std::vector<EffectivenessRow>& effectiveness() const;
+  std::vector<EffectivenessRow> effectiveness() const;
 
   // --- address-space views (paper §4 future work) ----------------------------
   struct AddrRow {
@@ -211,10 +203,10 @@ class Analysis {
     MetricVector mv{};
   };
   /// Metrics by memory segment (text/data/heap/stack).
-  const std::vector<AddrRow>& segments() const;
+  std::vector<AddrRow> segments() const;
   /// Hottest pages / E$ lines by `sort_metric`.
-  const std::vector<AddrRow>& pages(size_t sort_metric, size_t top_n) const;
-  const std::vector<AddrRow>& cache_lines(size_t sort_metric, size_t top_n) const;
+  std::vector<AddrRow> pages(size_t sort_metric, size_t top_n) const;
+  std::vector<AddrRow> cache_lines(size_t sort_metric, size_t top_n) const;
   /// Hottest allocated object instances (via the allocation log). `name` is
   /// the paper's "mcf_arena[k]" style: the allocating function (from the
   /// recorded allocation-site PC) with a per-function ordinal; "alloc[k]"
@@ -225,7 +217,7 @@ class Analysis {
     std::string name;
     MetricVector mv{};
   };
-  const std::vector<InstanceRow>& instances(size_t sort_metric, size_t top_n) const;
+  std::vector<InstanceRow> instances(size_t sort_metric, size_t top_n) const;
 
   /// Fraction of `count` objects of `obj_size` bytes starting at `base` that
   /// straddle an `line_size`-byte cache-line boundary (the paper's "28% of
@@ -252,24 +244,25 @@ class Analysis {
   };
   /// All validated struct-member accesses in event order, aggregated in one
   /// serial pass over the raw SoA columns (thread-count independent, so
-  /// everything derived from it — the er_opt plan in particular — is too).
-  const std::vector<AccessSample>& member_accesses() const;
-  /// Number of distinct (callstack, leaf) windows member_accesses() saw.
-  u32 access_windows() const;
+  /// everything derived from it — the er_opt plan in particular — is too),
+  /// and the number of distinct (callstack, leaf) windows they fall in.
+  struct MemberAccesses {
+    std::vector<AccessSample> samples;
+    u32 windows = 0;
+  };
+  MemberAccesses member_accesses() const;
 
   /// Per-metric event (sample) counts, clock samples under kUserCpuMetric —
   /// the n behind the er_opt delta report's sampling-error estimate: a
   /// metric total is a sum of n samples of weight w, so its standard error
   /// is ~ w * sqrt(n). This is the reduction's own tally.
-  const MetricCounts& sample_counts() const;
+  const MetricCounts& sample_counts() const { return r_.sample_counts; }
 
-  /// Force the reduction pass now (it otherwise runs on first view access).
-  const ReductionResult& reduce() const;
+  /// The reduction every view is computed from.
+  const ReductionResult& result() const { return r_; }
 
  private:
-  /// The reduction body; callers must hold mu_.
-  const ReductionResult& reduce_locked() const;
-  const std::string& func_name(u32 id) const;
+  const std::string& func_name(u32 id) const { return r_.func_names[id]; }
   void compute_scales();
 
   std::vector<const experiment::Experiment*> exps_;
@@ -285,34 +278,9 @@ class Analysis {
   std::array<double, kNumMetrics> scale_{};
   bool mpx_ = false;
 
-  // Guards the lazy reduction and every memoized view below: two threads
-  // triggering the first view access race on r_ and the caches otherwise
-  // (tests/analyze_test.cpp ConcurrentReaders, run under ASan/TSan).
-  mutable std::mutex mu_;
-
-  // Reduction output + converted totals, built on first access.
-  mutable std::unique_ptr<ReductionResult> r_;
-  mutable MetricVector total_{};
-  mutable MetricVector data_total_{};
-
-  // Memoized views (guarded by mu_; the reduction's parallelism lives
-  // inside the reduction pass).
-  mutable std::map<size_t, std::vector<FunctionRow>> functions_cache_;
-  mutable std::map<size_t, std::vector<FunctionRow>> inclusive_cache_;
-  mutable std::map<size_t, std::vector<PcRow>> pcs_cache_;
-  mutable std::map<size_t, std::vector<DataObjectRow>> data_objects_cache_;
-  mutable std::map<std::string, std::vector<EdgeRow>> callers_cache_;
-  mutable std::map<std::string, std::vector<EdgeRow>> callees_cache_;
-  mutable std::map<std::string, std::vector<LineRow>> source_cache_;
-  mutable std::map<std::string, std::vector<DisasmRow>> disasm_cache_;
-  mutable std::map<std::string, std::vector<MemberRow>> members_cache_;
-  mutable std::optional<std::vector<EffectivenessRow>> effectiveness_cache_;
-  mutable std::optional<std::vector<AccessSample>> accesses_cache_;
-  mutable u32 access_windows_ = 0;
-  mutable std::optional<std::vector<AddrRow>> segments_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> pages_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> cache_lines_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<InstanceRow>> instances_cache_;
+  ReductionResult r_;
+  MetricVector total_{};
+  MetricVector data_total_{};
 };
 
 }  // namespace dsprof::analyze

@@ -1,7 +1,5 @@
 #include "analyze/feedback.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 namespace dsprof::analyze {
@@ -42,77 +40,6 @@ std::string feedback_to_text(const std::vector<FeedbackEntry>& entries) {
        << " " << (e.member.empty() ? "-" : e.member) << " " << e.share << "\n";
   }
   return os.str();
-}
-
-namespace {
-
-/// Parse a full token as an unsigned integer / double; false on trailing
-/// junk, sign errors, or out-of-range values (no exceptions, no partial
-/// assignment — the caller's entry stays untouched on failure).
-bool parse_u32(const std::string& tok, u32& out) {
-  if (tok.empty() || tok[0] == '-' || tok[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v > ~u32{0}) return false;
-  out = static_cast<u32>(v);
-  return true;
-}
-
-bool parse_share(const std::string& tok, double& out) {
-  if (tok.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;  // a share is a fraction (NaN fails too)
-  out = v;
-  return true;
-}
-
-}  // namespace
-
-std::vector<FeedbackEntry> feedback_from_text(const std::string& text,
-                                              FeedbackParseStats* stats) {
-  std::vector<FeedbackEntry> out;
-  FeedbackParseStats local;
-  std::istringstream is(text);
-  std::string line;
-  size_t lineno = 0;
-  auto bad = [&](const std::string& why) {
-    local.skipped += 1;
-    if (local.first_error.empty()) {
-      local.first_error = "line " + std::to_string(lineno) + ": " + why;
-    }
-  };
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::vector<std::string> tok;
-    for (std::string t; ls >> t;) tok.push_back(std::move(t));
-    if (tok.empty()) continue;  // whitespace-only
-    if (tok.size() != 5) {
-      bad("expected 5 fields, got " + std::to_string(tok.size()));
-      continue;
-    }
-    FeedbackEntry e;
-    e.function = tok[0];
-    if (!parse_u32(tok[1], e.line)) {
-      bad("non-numeric line '" + tok[1] + "'");
-      continue;
-    }
-    e.struct_name = tok[2] == "-" ? "" : tok[2];
-    e.member = tok[3] == "-" ? "" : tok[3];
-    if (!parse_share(tok[4], e.share)) {
-      bad("non-numeric share '" + tok[4] + "'");
-      continue;
-    }
-    local.parsed += 1;
-    out.push_back(std::move(e));
-  }
-  if (stats) *stats = std::move(local);
-  return out;
 }
 
 }  // namespace dsprof::analyze

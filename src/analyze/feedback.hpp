@@ -1,7 +1,9 @@
 // Prefetch feedback (paper §4, future work): the experiment knows which
 // memory references cause the cache misses, so the analyzer can write a
 // feedback file naming (function, line, structure, member); a recompilation
-// can then insert prefetch instructions for those references.
+// can then insert prefetch instructions for those references. Nothing reads
+// the file back: bench/prefetch_feedback prints it, then recompiles with the
+// arc-scan prefetch switched on directly.
 #pragma once
 
 #include <string>
@@ -25,23 +27,8 @@ struct FeedbackEntry {
 std::vector<FeedbackEntry> prefetch_feedback(const Analysis& a, size_t metric,
                                              double min_share = 0.02);
 
-/// One line per entry: "function line struct member share".
+/// A "# ..." header line, then one line per entry:
+/// "function line struct member share" ("-" for an empty struct or member).
 std::string feedback_to_text(const std::vector<FeedbackEntry>& entries);
-
-/// What feedback_from_text did with each input line. A feedback file may
-/// come from an older toolchain or a hand edit, so malformed lines (wrong
-/// field count, non-numeric line/share, share outside [0, 1]) are *skipped
-/// and counted* — never folded into the result as garbage, and one bad line
-/// never discards the parseable rest.
-struct FeedbackParseStats {
-  size_t parsed = 0;        // entries returned
-  size_t skipped = 0;       // malformed lines ignored
-  std::string first_error;  // "line 3: non-numeric share 'x'" (empty if none)
-};
-
-/// Parse feedback_to_text output. Blank lines and '#' comments are ignored;
-/// malformed lines are skipped (see FeedbackParseStats). `stats` is optional.
-std::vector<FeedbackEntry> feedback_from_text(const std::string& text,
-                                              FeedbackParseStats* stats = nullptr);
 
 }  // namespace dsprof::analyze

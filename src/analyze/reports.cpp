@@ -404,7 +404,7 @@ std::string render_json_report(const Analysis& a, u64 dropped_events) {
   std::ostringstream os;
   os << "{\"schema\":\"dsprof-report-v1\"";
   os << ",\"sort_metric\":\"" << metric_short_name(sort_metric) << "\"";
-  os << ",\"events\":" << a.reduce().events_reduced;
+  os << ",\"events\":" << a.result().events_reduced;
   os << ",\"dropped_events\":" << dropped_events;
   os << ",\"totals\":" << json_metrics(a.total(), cols);
   os << ",\"data_totals\":" << json_metrics(a.data_total(), cols);
@@ -457,8 +457,8 @@ std::string render_json_report(const Analysis& a, u64 dropped_events) {
   os << ",\"lines\":[";
   {
     std::vector<std::pair<u64, MetricVector>> lines;
-    lines.reserve(a.reduce().line.size());
-    for (const auto& e : a.reduce().line.entries())
+    lines.reserve(a.result().line.size());
+    for (const auto& e : a.result().line.entries())
       lines.emplace_back(e.key, a.scaled(e.value));
     std::sort(lines.begin(), lines.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });

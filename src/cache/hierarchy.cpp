@@ -11,23 +11,12 @@ AccessOutcome MemoryHierarchy::ec_read(u64 addr, AccessOutcome out) {
   out.dc_rd_miss = true;
   out.ec_ref = true;
   const CacheAccess ec = ec_.access(addr, /*write=*/false);
-  const u64 line = ec_.line_addr(addr);
   if (ec.hit) {
     out.stall_cycles += cfg_.ec_hit_cycles;
-    // Keep a detected stream running: a hit on the line we last prefetched
-    // triggers the next-line fill.
-    if (cfg_.ec_stream_prefetch && line == stream_next_line_) {
-      ec_.fill_line(line + cfg_.ecache.line_size);
-      stream_next_line_ = line + cfg_.ecache.line_size;
-    }
   } else {
     out.ec_rd_miss = true;
     out.ec_stall_cycles = cfg_.ec_miss_cycles;
     out.stall_cycles += cfg_.ec_miss_cycles;
-    if (cfg_.ec_stream_prefetch) {
-      ec_.fill_line(line + cfg_.ecache.line_size);
-      stream_next_line_ = line + cfg_.ecache.line_size;
-    }
   }
   return out;
 }

@@ -7,9 +7,8 @@
 //    store buffer, matching the near-zero E$ stall the paper shows on `stx`.
 //  * E$ stall cycles are charged on demand E$ read misses (the "cycles lost"
 //    interpretation the paper highlights for cycle-counting cache counters).
-//  * An optional next-line stream prefetch on E$ read misses stands in for
-//    the memory-level parallelism of streaming code; it keeps sequential arc
-//    scans (primal_bea_mpp) at a low miss rate as in Figure 2.
+//  * There is no hardware prefetcher, as on US-III: only software prefetch
+//    instructions (prefetch()) fill lines ahead of demand.
 #pragma once
 
 #include "cache/cache.hpp"
@@ -27,8 +26,6 @@ struct HierarchyConfig {
   u32 ec_miss_cycles = 210;   // D$ miss, E$ miss: full memory latency
   u32 dtlb_miss_cycles = 100; // hardware table walk (paper's 100-cycle cost)
   u32 ic_miss_cycles = 12;
-
-  bool ec_stream_prefetch = false;
 
   /// The paper's testbed: dual 900 MHz US-III Cu, Sun Fire 280R, Solaris 9.
   static HierarchyConfig ultrasparc3();
@@ -100,7 +97,6 @@ class MemoryHierarchy {
   Cache ec_;
   Tlb dtlb_;
   u64 last_fetch_line_ = ~u64{0};
-  u64 stream_next_line_ = ~u64{0};
 };
 
 }  // namespace dsprof::cache

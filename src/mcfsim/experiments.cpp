@@ -9,10 +9,6 @@ machine::CpuConfig scaled_machine() {
   cfg.hierarchy.dcache = {16 * 1024, 4, 32, /*write_allocate=*/false};
   cfg.hierarchy.ecache = {128 * 1024, 2, 512, /*write_allocate=*/true};
   cfg.hierarchy.dtlb = {32, 2, 8 * 1024};
-  // No E$ stream prefetch: UltraSPARC-III has no hardware prefetcher, and
-  // the streaming arc scans' misses are a large part of the paper's profile
-  // (primal_bea_mpp: 30% of E$ read misses at a ~14% miss rate).
-  cfg.hierarchy.ec_stream_prefetch = false;
   return cfg;
 }
 

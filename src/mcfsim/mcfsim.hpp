@@ -55,7 +55,4 @@ struct RunParams {
 /// (at the start of the heap). Call from the Collector's setup callback.
 void write_input(mem::Memory& m, const RunParams& params);
 
-/// Address and size of the input area for `params`.
-u64 input_size_bytes(const RunParams& params);
-
 }  // namespace dsprof::mcfsim

@@ -52,11 +52,11 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   AffinityReport r;
   r.metric = opt.metric;
   r.metric_name = analyze::metric_short_name(opt.metric);
-  r.windows = a.access_windows();
+  const analyze::Analysis::MemberAccesses accesses = a.member_accesses();
+  r.windows = accesses.windows;
   r.line_size = a.ec_line_size();
 
   const auto& types = a.symtab().types();
-  const auto& accesses = a.member_accesses();
   const auto& allocs = a.allocations();
   const u64 heap_base = a.image().heap_base;
 
@@ -64,16 +64,17 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   if (loops != nullptr) strides = sa::export_struct_strides(*loops, a.symtab());
 
   // --- hot structs, ranked by the data-object view -------------------------
+  const auto objects = a.data_objects(opt.metric);
   double struct_total = 0;
-  for (const auto& row : a.data_objects(opt.metric)) {
+  for (const auto& row : objects) {
     if (row.cat == analyze::DataCat::Struct) struct_total += row.mv[opt.metric];
   }
-  for (const auto& row : a.data_objects(opt.metric)) {
+  for (const auto& row : objects) {
     if (row.cat != analyze::DataCat::Struct) continue;
     const double w = row.mv[opt.metric];
     if (w <= 0 || struct_total <= 0) continue;
     const double share = w / struct_total;
-    if (share < opt.min_struct_share) continue;
+    if (share < kMinStructShare) continue;
 
     const auto& type = types.get(row.sid);
     StructReport sr;
@@ -108,7 +109,7 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   // --- member weights + per-window co-access affinity ----------------------
   // window -> (struct report index, member) -> weight, for the rank metric.
   std::map<u32, std::map<std::pair<size_t, u32>, double>> windows;
-  for (const auto& s : accesses) {
+  for (const auto& s : accesses.samples) {
     auto it = by_sid.find(s.sid);
     if (it == by_sid.end()) continue;
     StructReport& sr = r.structs[it->second];
@@ -143,7 +144,7 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   std::set<u64> pages, heap_pages;
   std::set<size_t> hot_allocs;
   const u64 page_size = a.page_size();
-  for (const auto& s : accesses) {
+  for (const auto& s : accesses.samples) {
     if (!s.has_ea) continue;
     if (s.metric == opt.metric) {
       LineAgg& la = lines[s.ea / r.line_size * r.line_size];

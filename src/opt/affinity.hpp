@@ -79,12 +79,14 @@ struct PageReport {
   u64 hot_heap_bytes = 0;   // total size of allocations that received samples
 };
 
+/// Structs below this share of the struct-category data-space total are
+/// left out of the report, and so out of the plan.
+inline constexpr double kMinStructShare = 0.05;
+
 struct AffinityOptions {
   /// Rank metric (default E$ stall cycles, the paper's headline data metric).
   size_t metric = static_cast<size_t>(machine::HwEvent::EC_stall_cycles);
   size_t top_lines = 10;
-  /// Drop structs below this share of the struct-category total.
-  double min_struct_share = 0.05;
 };
 
 struct AffinityReport {

@@ -1,7 +1,6 @@
 #include "opt/driver.hpp"
 
 #include <cmath>
-#include <memory>
 #include <sstream>
 
 #include "collect/collector.hpp"
@@ -50,20 +49,17 @@ Planned plan_for(const analyze::Analysis& a, const DriverOptions& opt,
   AffinityOptions ao;
   ao.metric = opt.metric;
   ao.top_lines = opt.top_lines;
-  ao.min_struct_share = opt.min_struct_share;
 
-  std::unique_ptr<sa::LoopAnalysis> la;
-  if (opt.static_strides) {
-    const sa::Cfg cfg = sa::Cfg::build(a.image());
-    const sa::ProgramFacts pf = sa::ProgramFacts::build(a.image(), cfg);
-    la = std::make_unique<sa::LoopAnalysis>(sa::LoopAnalysis::build(pf, a.image()));
-  }
+  // The static loop/stride cross-check for the affinity report: one CFG +
+  // dataflow pass over the image.
+  const sa::Cfg cfg = sa::Cfg::build(a.image());
+  const sa::ProgramFacts pf = sa::ProgramFacts::build(a.image(), cfg);
+  const sa::LoopAnalysis la = sa::LoopAnalysis::build(pf, a.image());
 
   Planned p;
-  p.affinity = analyze_affinity(a, la.get(), ao);
+  p.affinity = analyze_affinity(a, &la, ao);
 
   PlanOptions po;
-  po.min_struct_share = opt.min_struct_share;
   po.line_size = a.ec_line_size();
   po.dtlb_entries = dtlb_entries;
   p.plan = plan_layout(p.affinity, po);

@@ -29,11 +29,7 @@ struct DriverOptions {
   /// Counter spec override for the profiling runs; empty keeps the
   /// workload's default. More than two counters multiplex (er_opt --hw).
   std::string hw;
-  double min_struct_share = 0.05;
   size_t top_lines = 10;
-  /// Build the static loop/stride cross-check (sa::LoopAnalysis) for the
-  /// affinity report. Costs one CFG + dataflow pass over the image.
-  bool static_strides = true;
 };
 
 /// One metric's before/after comparison from the two profiled runs.

@@ -10,6 +10,14 @@ namespace dsprof::opt {
 namespace {
 
 constexpr const char* kTextHeader = "# dsprof layout plan v1";
+/// A member is "hot" (clustered to the front) when it carries at least this
+/// share of its struct's member weight.
+constexpr double kHotMemberShare = 0.01;
+/// Pad to the next power of two only when the growth stays within this
+/// percentage (node: 120 -> 128 is +6.7%).
+constexpr u64 kMaxPadGrowthPct = 34;
+/// The large page the heap hint asks for (§3.3's -xpagesize_heap=512K).
+constexpr u64 kPageHintSize = 512 * 1024;
 
 u64 next_pow2(u64 v) {
   u64 p = 1;
@@ -38,145 +46,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-std::vector<std::string> split_ws(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream is(s);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
-}
-
-u64 parse_u64_tok(const std::string& tok, const char* what) {
-  if (tok.empty() || tok[0] == '-') fail(std::string("plan: bad ") + what + ": " + tok);
-  u64 v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') fail(std::string("plan: bad ") + what + ": " + tok);
-    v = v * 10 + static_cast<u64>(c - '0');
-  }
-  return v;
-}
-
-// --- minimal JSON reader (plan schema only) --------------------------------
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& s) : s_(s) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("plan json: expected '") + c + "' at offset " +
-           std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) break;
-        const char e = s_[pos_++];
-        switch (e) {
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          default:
-            out += e;  // \" \\ \/ and anything else: literal
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= s_.size()) fail("plan json: unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  u64 number() {
-    skip_ws();
-    const size_t start = pos_;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ == start) fail("plan json: expected number at offset " + std::to_string(start));
-    return parse_u64_tok(s_.substr(start, pos_ - start), "number");
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("plan json: expected boolean at offset " + std::to_string(pos_));
-  }
-
-  void end() {
-    skip_ws();
-    if (pos_ != s_.size()) fail("plan json: trailing data at offset " + std::to_string(pos_));
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
-StructDirective json_directive(JsonReader& r) {
-  StructDirective d;
-  r.expect('{');
-  bool first = true;
-  while (!r.try_consume('}')) {
-    if (!first) r.expect(',');
-    first = false;
-    const std::string key = r.string();
-    r.expect(':');
-    if (key == "name") {
-      d.struct_name = r.string();
-    } else if (key == "order") {
-      r.expect('[');
-      while (!r.try_consume(']')) {
-        if (!d.member_order.empty()) r.expect(',');
-        d.member_order.push_back(r.string());
-      }
-    } else if (key == "pad_to") {
-      d.pad_to = r.number();
-    } else if (key == "align_line") {
-      d.align_line = r.boolean();
-    } else if (key == "prefetch") {
-      d.prefetch = r.boolean();
-    } else if (key == "note") {
-      d.note = r.string();
-    } else {
-      fail("plan json: unknown struct key \"" + key + "\"");
-    }
-  }
-  return d;
 }
 
 }  // namespace
@@ -214,72 +83,6 @@ std::string plan_to_text(const LayoutPlan& plan) {
   return os.str();
 }
 
-LayoutPlan plan_from_text(const std::string& text) {
-  LayoutPlan plan;
-  std::istringstream is(text);
-  std::string line;
-  bool saw_header = false;
-  StructDirective cur;
-  bool in_struct = false;
-  size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto toks = split_ws(line);
-    if (toks.empty()) continue;
-    if (!saw_header) {
-      if (line.rfind(kTextHeader, 0) != 0) {
-        fail("plan: missing \"" + std::string(kTextHeader) + "\" header");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (toks[0][0] == '#') continue;
-    const auto where = [&] { return " (line " + std::to_string(lineno) + ")"; };
-    if (toks[0] == "struct") {
-      if (in_struct) fail("plan: nested struct" + where());
-      if (toks.size() != 2) fail("plan: struct needs a name" + where());
-      cur = StructDirective{};
-      cur.struct_name = toks[1];
-      in_struct = true;
-    } else if (toks[0] == "end") {
-      if (!in_struct) fail("plan: end outside struct" + where());
-      plan.structs.push_back(std::move(cur));
-      in_struct = false;
-    } else if (toks[0] == "order") {
-      if (!in_struct) fail("plan: order outside struct" + where());
-      if (toks.size() < 2) fail("plan: empty order" + where());
-      cur.member_order.assign(toks.begin() + 1, toks.end());
-    } else if (toks[0] == "pad") {
-      if (!in_struct) fail("plan: pad outside struct" + where());
-      if (toks.size() != 2) fail("plan: pad needs one size" + where());
-      cur.pad_to = parse_u64_tok(toks[1], "pad size");
-    } else if (toks[0] == "align") {
-      if (!in_struct) fail("plan: align outside struct" + where());
-      if (toks.size() != 2 || toks[1] != "line") fail("plan: expected 'align line'" + where());
-      cur.align_line = true;
-    } else if (toks[0] == "prefetch") {
-      if (!in_struct) fail("plan: prefetch outside struct" + where());
-      if (toks.size() != 1) fail("plan: prefetch takes no arguments" + where());
-      cur.prefetch = true;
-    } else if (toks[0] == "note") {
-      if (!in_struct) fail("plan: note outside struct" + where());
-      const size_t at = line.find("note");
-      cur.note = line.substr(at + 5);
-    } else if (toks[0] == "metric") {
-      if (in_struct || toks.size() != 2) fail("plan: bad metric line" + where());
-      plan.metric = toks[1];
-    } else if (toks[0] == "pagesize") {
-      if (in_struct || toks.size() != 2) fail("plan: bad pagesize line" + where());
-      plan.page_size_hint = parse_u64_tok(toks[1], "page size");
-    } else {
-      fail("plan: unknown keyword \"" + toks[0] + "\"" + where());
-    }
-  }
-  if (!saw_header) fail("plan: empty input");
-  if (in_struct) fail("plan: unterminated struct " + cur.struct_name);
-  return plan;
-}
-
 std::string plan_to_json(const LayoutPlan& plan) {
   std::ostringstream os;
   os << "{\"version\":1,\"metric\":\"" << json_escape(plan.metric)
@@ -301,42 +104,12 @@ std::string plan_to_json(const LayoutPlan& plan) {
   return os.str();
 }
 
-LayoutPlan plan_from_json(const std::string& json) {
-  LayoutPlan plan;
-  JsonReader r(json);
-  r.expect('{');
-  bool first = true;
-  while (!r.try_consume('}')) {
-    if (!first) r.expect(',');
-    first = false;
-    const std::string key = r.string();
-    r.expect(':');
-    if (key == "version") {
-      if (r.number() != 1) fail("plan json: unsupported version");
-    } else if (key == "metric") {
-      plan.metric = r.string();
-    } else if (key == "page_size_hint") {
-      plan.page_size_hint = r.number();
-    } else if (key == "structs") {
-      r.expect('[');
-      while (!r.try_consume(']')) {
-        if (!plan.structs.empty()) r.expect(',');
-        plan.structs.push_back(json_directive(r));
-      }
-    } else {
-      fail("plan json: unknown key \"" + key + "\"");
-    }
-  }
-  r.end();
-  return plan;
-}
-
 LayoutPlan plan_layout(const AffinityReport& report, const PlanOptions& opt) {
   LayoutPlan plan;
   plan.metric = report.metric_name;
 
+  // The report already left out structs below kMinStructShare.
   for (const auto& sr : report.structs) {
-    if (sr.share < opt.min_struct_share) continue;
     const size_t n = sr.members.size();
     if (n == 0) continue;
 
@@ -346,7 +119,7 @@ LayoutPlan plan_layout(const AffinityReport& report, const PlanOptions& opt) {
     // Hot set: members carrying a meaningful share of the struct's weight.
     std::vector<size_t> hot;
     for (size_t i = 0; i < n; ++i) {
-      if (wsum > 0 && sr.members[i].weight >= opt.hot_member_share * wsum) {
+      if (wsum > 0 && sr.members[i].weight >= kHotMemberShare * wsum) {
         hot.push_back(i);
       }
     }
@@ -401,7 +174,7 @@ LayoutPlan plan_layout(const AffinityReport& report, const PlanOptions& opt) {
     u64 padded = sr.size;
     if (!is_pow2(sr.size)) {
       const u64 p2 = next_pow2(sr.size);
-      if ((p2 - sr.size) * 100 <= sr.size * opt.max_pad_growth_pct) {
+      if ((p2 - sr.size) * 100 <= sr.size * kMaxPadGrowthPct) {
         d.pad_to = p2;
         padded = p2;
       }
@@ -437,7 +210,7 @@ LayoutPlan plan_layout(const AffinityReport& report, const PlanOptions& opt) {
   // DTLB reach (entries * page size).
   if (opt.dtlb_entries > 0 &&
       report.pages.heap_pages > opt.dtlb_entries) {
-    plan.page_size_hint = opt.page_hint_size;
+    plan.page_size_hint = kPageHintSize;
   }
   return plan;
 }

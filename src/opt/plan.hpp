@@ -3,11 +3,10 @@
 // planner emits a LayoutPlan, the applier maps it onto scc::StructDef layout
 // hooks, and the driver re-runs the workload to verify the delta.
 //
-// A plan is deliberately plain data with two interchangeable encodings
-// (line-oriented text for humans and feedback files, JSON for tooling); both
-// round-trip exactly, and directives are kept sorted by struct name so the
-// same analysis always serializes to the same bytes regardless of discovery
-// order or thread count.
+// A plan is deliberately plain data with two write-only encodings
+// (line-oriented text for people, JSON for tools). Directives are kept
+// sorted by struct name so the same analysis always serializes to the same
+// bytes regardless of discovery order or thread count.
 #pragma once
 
 #include <string>
@@ -39,12 +38,6 @@ struct StructDirective {
   /// One-line planner rationale; serialized for the report, ignored by the
   /// applier.
   std::string note;
-
-  friend bool operator==(const StructDirective& a, const StructDirective& b) {
-    return a.struct_name == b.struct_name && a.member_order == b.member_order &&
-           a.pad_to == b.pad_to && a.align_line == b.align_line &&
-           a.prefetch == b.prefetch && a.note == b.note;
-  }
 };
 
 struct LayoutPlan {
@@ -59,47 +52,32 @@ struct LayoutPlan {
   const StructDirective* find(const std::string& struct_name) const;
   /// True if any directive asks for E$-line alignment.
   bool wants_align() const;
-
-  friend bool operator==(const LayoutPlan& a, const LayoutPlan& b) {
-    return a.metric == b.metric && a.page_size_hint == b.page_size_hint &&
-           a.structs == b.structs;
-  }
 };
 
-/// Line-oriented text form ("# dsprof layout plan v1" header). Parse throws
-/// Error on malformed input (unknown keyword, bad number, missing header).
+/// Line-oriented text form ("# dsprof layout plan v1" header), for people:
+/// er_opt prints it and --plan-out saves it.
 std::string plan_to_text(const LayoutPlan& plan);
-LayoutPlan plan_from_text(const std::string& text);
 
-/// JSON form (one object, schema {"version":1,"metric":...,"structs":[...]}).
+/// JSON form (one object, schema {"version":1,"metric":...,"structs":[...]}),
+/// for tools: er_opt -J.
 std::string plan_to_json(const LayoutPlan& plan);
-LayoutPlan plan_from_json(const std::string& json);
 
-/// Planner knobs. Everything is deterministic: ties in the affinity
-/// clustering break by member weight, then by current layout position.
+/// The target machine's geometry, as far as the planner needs it.
 struct PlanOptions {
-  /// Keep a struct hot enough to plan for when its share of the
-  /// struct-category data-space total reaches this.
-  double min_struct_share = 0.05;
-  /// A member is "hot" (clustered to the front) when it carries at least
-  /// this share of its struct's member weight.
-  double hot_member_share = 0.01;
   /// E$ line size the pad/align directives target.
   u64 line_size = 512;
-  /// Pad to the next power of two only when the growth stays within this
-  /// percentage (node: 120 -> 128 is +6.7%).
-  u32 max_pad_growth_pct = 34;
-  /// DTLB geometry for the large-page hint; entries == 0 disables the hint
-  /// (offline plans have no machine to read it from).
+  /// DTLB entries for the large-page hint; 0 disables the hint (offline
+  /// plans have no machine to read it from).
   u32 dtlb_entries = 0;
-  u64 page_hint_size = 512 * 1024;
 };
 
 /// Turn an affinity report into layout directives: greedy co-access
 /// clustering orders each hot struct's members (hottest first, then highest
 /// affinity to the already-placed set), pad-to-power-of-two when cheap, and
 /// E$-line alignment for heap-resident structs whose padded size tiles the
-/// line. Purely a function of the report — no profile re-reads.
+/// line. Purely a function of the report — no profile re-reads — and
+/// deterministic: ties in the clustering break by member weight, then by
+/// current layout position.
 LayoutPlan plan_layout(const AffinityReport& report, const PlanOptions& opt = {});
 
 }  // namespace dsprof::opt

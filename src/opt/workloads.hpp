@@ -54,6 +54,5 @@ LayoutPlan churn_hand_plan();
 
 /// Lookup by CLI name ("mcf", "mcf-small", "churn"); throws on unknown.
 Workload workload_by_name(const std::string& name);
-std::vector<std::string> workload_names();
 
 }  // namespace dsprof::opt

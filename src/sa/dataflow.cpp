@@ -217,104 +217,6 @@ Liveness Liveness::build(const ProgramFacts& pf) {
 }
 
 // ---------------------------------------------------------------------------
-// Reaching definitions
-
-namespace {
-
-struct ReachingProblem {
-  using Value = std::vector<u64>;
-  const ProgramFacts& pf;
-  const std::vector<u32>& site_of_word;
-  // Per register: bit masks of all its def sites (for kills).
-  const std::array<Value, 32>& sites_of_reg;
-  size_t nwords;
-
-  Value init() const { return Value(nwords, 0); }
-  Value boundary(u32 /*b*/) const { return init(); }
-  bool is_boundary(u32 /*b*/) const { return false; }
-  bool join(Value& into, const Value& from) const {
-    bool changed = false;
-    for (size_t i = 0; i < nwords; ++i) {
-      const u64 next = into[i] | from[i];
-      changed = changed || next != into[i];
-      into[i] = next;
-    }
-    return changed;
-  }
-  void apply(Value& v, size_t w) const {
-    const u32 site = site_of_word[w];
-    if (site == ~0u) return;
-    const RegFacts f = reg_facts(pf.code[w]);
-    // A must-def kills every other def of the register; a may-def (an
-    // annullable delay slot) only adds its own site.
-    if (!pf.may_annul(w)) {
-      const Value& kills = sites_of_reg[f.def];
-      for (size_t i = 0; i < nwords; ++i) v[i] &= ~kills[i];
-    }
-    v[site / 64] |= u64{1} << (site % 64);
-  }
-  Value transfer(u32 b, const Value& in) const {
-    Value v = in;
-    const size_t hi = pf.block_hi_word(b);
-    for (size_t w = pf.block_lo_word(b); w < hi; ++w) apply(v, w);
-    return v;
-  }
-};
-
-}  // namespace
-
-ReachingDefs ReachingDefs::build(const ProgramFacts& pf) {
-  ReachingDefs rd;
-  rd.pf_ = &pf;
-  rd.site_of_word_.assign(pf.code.size(), kNoSite);
-  for (size_t w = 0; w < pf.code.size(); ++w) {
-    const RegFacts f = reg_facts(pf.code[w]);
-    if (f.def == kNoReg) continue;
-    rd.site_of_word_[w] = static_cast<u32>(rd.sites_.size());
-    rd.sites_.push_back(DefSite{pf.pc_of(w), f.def});
-  }
-  const size_t nwords = (rd.sites_.size() + 63) / 64;
-  std::array<Bits, 32> sites_of_reg;
-  for (auto& b : sites_of_reg) b.assign(nwords, 0);
-  for (size_t i = 0; i < rd.sites_.size(); ++i) {
-    sites_of_reg[rd.sites_[i].reg][i / 64] |= u64{1} << (i % 64);
-  }
-  ReachingProblem prob{pf, rd.site_of_word_, sites_of_reg, nwords};
-  std::vector<Bits> out;
-  const SolveResult res = solve_worklist(pf, prob, Direction::Forward, rd.in_, out);
-  rd.iterations_ = res.iterations;
-  return rd;
-}
-
-std::vector<u64> ReachingDefs::defs_reaching(u64 pc, u8 reg) const {
-  std::vector<u64> out;
-  const BasicBlock* blk = pf_->cfg->block_at(pc);
-  if (blk == nullptr || reg == 0 || reg >= kNoReg) return out;
-  const u32 b = static_cast<u32>(blk - pf_->cfg->blocks().data());
-  const size_t nwords = (sites_.size() + 63) / 64;
-  Bits v = in_.empty() ? Bits(nwords, 0) : in_[b];
-  // Replay the block prefix up to (not including) `pc`.
-  const size_t target = pf_->word_of(pc);
-  for (size_t w = pf_->block_lo_word(b); w < target; ++w) {
-    const u32 site = site_of_word_[w];
-    if (site == kNoSite) continue;
-    const RegFacts f = reg_facts(pf_->code[w]);
-    if (!pf_->may_annul(w)) {
-      for (size_t i = 0; i < sites_.size(); ++i) {
-        if (sites_[i].reg == f.def) v[i / 64] &= ~(u64{1} << (i % 64));
-      }
-    }
-    v[site / 64] |= u64{1} << (site % 64);
-  }
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    if (sites_[i].reg == reg && (v[i / 64] >> (i % 64) & 1) != 0) {
-      out.push_back(sites_[i].pc);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Attribution coverage
 
 const char* ea_class_name(EaClass c) {

@@ -4,24 +4,20 @@
 // and derives the block-level facts every analysis needs (predecessor lists,
 // a reverse postorder, delay-slot/annul structure), reg_facts() gives the
 // per-instruction register transfer function, and solve_worklist() runs any
-// forward or backward problem to its fixpoint. Three instantiations live
+// forward or backward problem to its fixpoint. Two instantiations live
 // here:
 //
 //   * Liveness     — backward may-analysis over 32-bit register masks. Blocks
 //     ending in CALL/JMPL/HCALL (or with no static successors) are boundary
 //     blocks with everything live: the callee/host may read any register.
 //     Feeds the dead-register-write lint rule.
-//   * ReachingDefs — forward may-analysis over def sites (one bit per
-//     register-writing instruction). Solver unit tests exercise it on
-//     hand-built CFGs; loops.hpp uses the same def/use facts for stride
-//     inference.
 //   * AttributionCoverage — the static attribution-coverage proof. See below.
 //
 // Delay-slot exactness: an instruction in the delay slot of an annulling
 // branch may be skipped at run time (machine/cpu.cpp), so its definition
-// must not kill facts flowing across it — it is a *may*-def. Both transfer
-// functions honor that, mirroring the conservative annulled-slot rule of the
-// backtracking clobber scan (backtrack_table.hpp).
+// must not kill facts flowing across it — it is a *may*-def. The liveness
+// transfer function honors that, mirroring the conservative annulled-slot
+// rule of the backtracking clobber scan (backtrack_table.hpp).
 //
 // --- The attribution-coverage classification -------------------------------
 //
@@ -216,36 +212,6 @@ class Liveness {
   std::vector<u32> live_in_;
   std::vector<u32> live_out_;
   std::vector<DeadWrite> dead_;
-  size_t iterations_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Reaching definitions
-
-class ReachingDefs {
- public:
-  static ReachingDefs build(const ProgramFacts& pf);
-
-  struct DefSite {
-    u64 pc = 0;
-    u8 reg = kNoReg;
-  };
-
-  const std::vector<DefSite>& def_sites() const { return sites_; }
-
-  /// PCs of the definitions of `reg` that may reach the instruction at `pc`
-  /// (before it executes). Sorted ascending.
-  std::vector<u64> defs_reaching(u64 pc, u8 reg) const;
-
-  size_t solver_iterations() const { return iterations_; }
-
- private:
-  using Bits = std::vector<u64>;
-  const ProgramFacts* pf_ = nullptr;
-  std::vector<DefSite> sites_;
-  std::vector<u32> site_of_word_;  // word -> site index or kNoSite
-  static constexpr u32 kNoSite = ~0u;
-  std::vector<Bits> in_;  // per block: sites reaching block entry
   size_t iterations_ = 0;
 };
 

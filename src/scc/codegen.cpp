@@ -133,7 +133,7 @@ class Codegen {
   /// preceding instruction when legal, else a nop).
   void transfer(const std::function<void()>& emit_transfer, u32 line) {
     std::optional<std::pair<Instr, u64>> slot;
-    if (opt_.mutate_mem_in_delay_slot && opt_.fill_delay_slots) {
+    if (opt_.mutate_mem_in_delay_slot) {
       // Mutation hook (testing only): hoist a trailing memory op into the
       // delay slot *before* the join padding runs — under the normal
       // ordering the pads land between the memory op and the transfer, so
@@ -153,7 +153,7 @@ class Codegen {
       }
     }
     pad_before_join(line);
-    if (!slot && opt_.fill_delay_slots) {
+    if (!slot) {
       slot = asm_.pop_last_plain();
       if (slot) {
         const isa::OpInfo& info = isa::op_info(slot->first.op);

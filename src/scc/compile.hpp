@@ -22,9 +22,6 @@ struct CompileOptions {
   /// Minimum instruction distance kept between a memory operation and the
   /// next join node under hwcprof (nops inserted as needed).
   u32 pad_nops = 2;
-  /// Fill branch delay slots with a preceding instruction when legal
-  /// (always nop under hwcprof if the candidate is a memory op).
-  bool fill_delay_slots = true;
 
   // --- mutation hooks (testing only) ----------------------------------------
   // Each deliberately breaks exactly one hwcprof codegen pass while leaving

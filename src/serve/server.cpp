@@ -578,14 +578,6 @@ void Server::stop() {
   }
 }
 
-size_t Server::active_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& s : sessions_)
-    if (!s->finalized) ++n;
-  return n;
-}
-
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_locked();

@@ -164,7 +164,6 @@ class Server {
   /// Shut down every session (transports included) and join all threads.
   void stop();
 
-  size_t active_sessions() const;
   ServerStats stats() const;
 
  private:

@@ -183,20 +183,6 @@ TEST(Hierarchy, DcHitAfterLoadFill) {
   EXPECT_TRUE(st.ec_ref);
 }
 
-TEST(Hierarchy, StreamPrefetchHidesSequentialMisses) {
-  HierarchyConfig cfg = HierarchyConfig::ultrasparc3();
-  cfg.ec_stream_prefetch = true;
-  MemoryHierarchy with(cfg);
-  cfg.ec_stream_prefetch = false;
-  MemoryHierarchy without(cfg);
-  u64 miss_with = 0, miss_without = 0;
-  for (u64 a = 0x100000; a < 0x100000 + (1 << 22); a += 32) {
-    if (with.load(a).ec_rd_miss) ++miss_with;
-    if (without.load(a).ec_rd_miss) ++miss_without;
-  }
-  EXPECT_LT(miss_with, miss_without / 4);
-}
-
 TEST(Hierarchy, PrefetchInstructionFillsEc) {
   MemoryHierarchy h(HierarchyConfig::ultrasparc3());
   // Prefetch requires a resident TLB entry; warm it with a nearby load.

@@ -1,8 +1,8 @@
 // Dataflow framework tests (src/sa/dataflow.hpp, src/sa/loops.hpp):
 //   * per-instruction register transfer facts mirror the backtracking
 //     clobber-scan written-register rule,
-//   * worklist solver instantiations (liveness, reaching definitions) on
-//     hand-assembled images, including the annulled-delay-slot may-def rule,
+//   * the liveness solver instantiation on hand-assembled images, including
+//     the annulled-delay-slot may-def rule,
 //   * dominator tree, natural-loop detection, induction-variable stride
 //     inference, and the irreducible-CFG fallback,
 //   * attribution-coverage classification on hand images and compiled
@@ -193,44 +193,6 @@ TEST(Liveness, CallBoundaryKeepsEverythingLive) {
   EXPECT_TRUE(lv.dead_writes().empty());
   const u32 entry_blk = block_index_at(a.cfg, img.text_base);
   EXPECT_NE(lv.live_out(entry_blk) & (u32{1} << L5), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions
-
-TEST(ReachingDefs, KillsOnStraightLineJoinsAcrossAnnulledSlot) {
-  using namespace isa;
-  const sym::Image img = make_image({
-      mov_ri(L1, 5),                         // w0: def A
-      branch(Cond::E, 16, /*annul=*/true),   // w1
-      mov_ri(L1, 7),                         // w2: def B (may-annul: no kill)
-      nop(),                                 // w3
-      nop(),                                 // w4
-      store_ri(Op::STX, L1, L2, 0),          // w5: both defs may reach here
-      hcall(0),                              // w6
-      nop(),                                 // w7
-  });
-  const Analyses a = analyze(img);
-  const ReachingDefs rd = ReachingDefs::build(a.pf);
-
-  const auto reach_store = rd.defs_reaching(img.text_base + 4 * 5, L1);
-  EXPECT_EQ(reach_store, (std::vector<u64>{img.text_base, img.text_base + 4 * 2}));
-
-  // A straight-line redefinition kills: only w2's def reaches w3... er, w5 via
-  // the non-annulled layout below.
-  const sym::Image straight = make_image({
-      mov_ri(L1, 5),                 // def A — killed
-      mov_ri(L1, 7),                 // def B
-      store_ri(Op::STX, L1, L2, 0),  // only B reaches
-      hcall(0),
-      nop(),
-  });
-  const Analyses sa2 = analyze(straight);
-  const ReachingDefs rd2 = ReachingDefs::build(sa2.pf);
-  EXPECT_EQ(rd2.defs_reaching(straight.text_base + 4 * 2, L1),
-            (std::vector<u64>{straight.text_base + 4}));
-  // Def sites enumerate every register-writing instruction.
-  EXPECT_EQ(rd2.def_sites().size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

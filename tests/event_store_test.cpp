@@ -629,8 +629,8 @@ TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
   EXPECT_EQ(all_views(ab), all_views(as));
   EXPECT_EQ(ab.total(), as.total());
   EXPECT_EQ(ab.data_total(), as.data_total());
-  EXPECT_EQ(ab.reduce().events_reduced, as.reduce().events_reduced);
-  EXPECT_EQ(ab.reduce().sample_counts, as.reduce().sample_counts);
+  EXPECT_EQ(ab.result().events_reduced, as.result().events_reduced);
+  EXPECT_EQ(ab.result().sample_counts, as.result().sample_counts);
 }
 
 // --- zero-copy aligned layout + mapped loading -------------------------------

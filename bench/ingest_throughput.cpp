@@ -1,11 +1,11 @@
 // INGEST — end-to-end streaming ingest throughput of the dsprofd stack
-// (DESIGN.md §3.3): events/second from a collector client, through the
-// in-process pipe transport and the framed wire protocol, into a Server
+// (DESIGN.md §3.3): events/second from a collector client, through an
+// in-process socket pair and the framed wire protocol, into a Server
 // session's live IncrementalReducer aggregates.
 //
 // The measured path is the full production pipeline:
 //   client: slice events into batches -> EventStore columnar encode ->
-//           frame -> pipe send (with real backpressure)
+//           frame -> socket send (with real backpressure)
 //   server: frame decode -> EventStore decode -> incremental fold into
 //           live aggregates (inline in the reader while the reducer keeps
 //           up, else through the bounded queue)
@@ -57,7 +57,7 @@ double seconds_since(Clock::time_point t0) {
 double stream_once(const experiment::Experiment& ex, size_t batch_events,
                    std::string* snapshot_json) {
   serve::Server server;
-  auto [client_end, server_end] = serve::make_pipe_pair(/*capacity=*/4u << 20);
+  auto [client_end, server_end] = serve::make_pipe_pair();
   server.add_session(std::move(server_end));
   serve::Client client(std::move(client_end));
 
@@ -86,7 +86,7 @@ double stream_once(const experiment::Experiment& ex, size_t batch_events,
 
 int main(int argc, char** argv) {
   const bench::JsonSink json_out(argc, argv, "ingest_throughput");
-  std::puts("INGEST: dsprofd streaming ingest throughput (pipe transport)");
+  std::puts("INGEST: dsprofd streaming ingest throughput (in-process socket pair)");
 
   // The paper's first MCF collect run is the workload; replicate it to get
   // a stream long enough to measure steady-state ingest.

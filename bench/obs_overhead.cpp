@@ -1,6 +1,6 @@
 // OBS — the self-observability layer's acceptance bar (src/obs/): the
-// instrumentation wired through the pipeline hot paths (per-shard and
-// per-fold timing in Reduction::run, queue/fold accounting in the serve
+// instrumentation wired through the pipeline hot paths (per-fold and
+// merge timing in Reduction::run, queue/fold accounting in the serve
 // stack) must cost < 3% on the two throughput benches it rides in, *with
 // obs enabled*.
 //
@@ -11,9 +11,9 @@
 // drift and the median rejects scheduler outliers, which best-of-N does
 // not on a loaded single-core box.
 //
-//   reduce: analyze::Reduction::run at its worker count over the FIG1 small
-//           workload (the pipeline_throughput path);
-//   ingest: full streaming session through the in-process pipe transport
+//   reduce: analyze::Reduction::run over the FIG1 small workload (the
+//           pipeline_throughput path);
+//   ingest: full streaming session through an in-process socket pair
 //           into a live server session (the ingest_throughput path).
 //
 // On the side, the cross-layer agreement invariant (the er_print -O vs
@@ -53,7 +53,7 @@ double seconds_since(Clock::time_point t0) {
 /// path); returns wall seconds to the flush barrier.
 double stream_once(const experiment::Experiment& ex, serve::Accounting* acct_out) {
   serve::Server server;
-  auto [client_end, server_end] = serve::make_pipe_pair(/*capacity=*/4u << 20);
+  auto [client_end, server_end] = serve::make_pipe_pair();
   server.add_session(std::move(server_end));
   serve::Client client(std::move(client_end));
 
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   const auto exps = mcfsim::collect_paper_experiments(setup);
   const std::vector<const experiment::Experiment*> both = {&exps.ex1, &exps.ex2};
   const size_t n_reduce_events = exps.ex1.events.size() + exps.ex2.events.size();
-  const unsigned threads = analyze::Reduction::resolve_threads();
 
   // Ingest workload: replicate the first run so a session is long enough to
   // measure (same construction as bench/ingest_throughput).
@@ -111,8 +110,8 @@ int main(int argc, char** argv) {
   ex.events.reserve(exps.ex1.events.size() * kReplicas);
   for (size_t i = 0; i < kReplicas; ++i) ex.events.append_store(exps.ex1.events);
   const size_t n_ingest_events = ex.events.size();
-  std::printf("workload: reduce %zu events (%u threads), ingest %zu events\n",
-              n_reduce_events, threads, n_ingest_events);
+  std::printf("workload: reduce %zu events, ingest %zu events\n", n_reduce_events,
+              n_ingest_events);
 
   // --- agreement: obs counters vs the reductions' own accounting -----------
   // (er_print -O and a dsprofd Stats frame key on exactly these counters.)
@@ -187,9 +186,9 @@ int main(int argc, char** argv) {
 
   json_out.emit(
       "{\"bench\":\"obs_overhead\",\"reduce_events\":%zu,\"ingest_events\":%zu,"
-      "\"threads\":%u,\"reduce_overhead_pct\":%.3f,\"ingest_overhead_pct\":%.3f,"
+      "\"reduce_overhead_pct\":%.3f,\"ingest_overhead_pct\":%.3f,"
       "\"max_overhead_pct\":%.1f,\"counters_agree\":%s,\"pass\":%s}",
-      n_reduce_events, n_ingest_events, threads, reduce_pct, ingest_pct, max_pct,
+      n_reduce_events, n_ingest_events, reduce_pct, ingest_pct, max_pct,
       agree ? "true" : "false", pass ? "true" : "false");
   return pass ? 0 : 1;
 }

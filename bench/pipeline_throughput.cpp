@@ -5,8 +5,8 @@
 //              collection hot path: column pushes + callstack interning);
 //   reduce:    events/sec folded into view aggregates, for the seed's
 //              serial std::map fold (the tests/ oracle, the in-run machine
-//              yardstick), the radix fold in one reducer per experiment
-//              (one worker), and Reduction::run at its worker count;
+//              yardstick), and Reduction::run (the radix fold, one
+//              reducer per experiment);
 //   backtrack: events/sec through overflow backtracking, replaying the
 //              delivered PCs of the collected events against the dynamic
 //              decode loop and the precomputed sa::BacktrackTable.
@@ -92,31 +92,16 @@ int main(int argc, char** argv) {
   const double append_eps = static_cast<double>(n_events) / t_append;
 
   // --- reduction ------------------------------------------------------------
-  const unsigned threads = analyze::Reduction::resolve_threads();
   const double t_baseline = best_of(3, [&] { oracle::reduce(both); });
-  // One worker: what Reduction::run does on a 1-core machine.
-  const auto fold_serial = [&] {
-    std::vector<analyze::IncrementalReducer> reds;
-    std::vector<const analyze::ReductionResult*> parts;
-    reds.reserve(both.size());
-    for (const auto* ex : both) {
-      reds.emplace_back(ex->image.symtab, ex->counters);
-      reds.back().fold(ex->events, 0, ex->events.size());
-      parts.push_back(&reds.back().result());
-    }
-    return analyze::merge_results(parts);
-  };
-  const double t_radix1 = best_of(5, fold_serial);
   const double t_radix = best_of(5, [&] { analyze::Reduction::run(both); });
 
   // Equivalence spot-check: the product must agree exactly with the oracle.
   const auto rb = oracle::reduce(both);
-  for (const auto& rr : {fold_serial(), analyze::Reduction::run(both)}) {
-    if (rb.events_reduced != rr.events_reduced || rb.total != rr.total ||
-        rb.data_total != rr.data_total) {
-      std::fputs("FATAL: oracle and radix reductions disagree\n", stderr);
-      return 1;
-    }
+  const auto rr = analyze::Reduction::run(both);
+  if (rb.events_reduced != rr.events_reduced || rb.total != rr.total ||
+      rb.data_total != rr.data_total) {
+    std::fputs("FATAL: oracle and radix reductions disagree\n", stderr);
+    return 1;
   }
 
   // --- backtrack ------------------------------------------------------------
@@ -157,15 +142,13 @@ int main(int argc, char** argv) {
   const double bt_speedup = bt_tab_eps / bt_dyn_eps;
 
   const double base_eps = static_cast<double>(n_events) / t_baseline;
-  const double rx1_eps = static_cast<double>(n_events) / t_radix1;
   const double rx_eps = static_cast<double>(n_events) / t_radix;
 
   std::printf("\n%-28s %12s %14s\n", "stage", "time (ms)", "events/sec");
   std::printf("%-28s %12.2f %14.3e\n", "append (columnar store)", t_append * 1e3, append_eps);
   std::printf("%-28s %12.2f %14.3e\n", "reduce oracle (std::map)", t_baseline * 1e3,
               base_eps);
-  std::printf("%-28s %12.2f %14.3e\n", "reduce radix (1 thread)", t_radix1 * 1e3, rx1_eps);
-  std::printf("reduce radix (%2u threads)    %12.2f %14.3e\n", threads, t_radix * 1e3, rx_eps);
+  std::printf("%-28s %12.2f %14.3e\n", "reduce radix", t_radix * 1e3, rx_eps);
   std::printf("%-28s %12.2f %14.3e\n", "backtrack dynamic (loop)", t_bt_dyn * 1e3,
               bt_dyn_eps);
   std::printf("%-28s %12.2f %14.3e\n", "backtrack table (sa)", t_bt_tab * 1e3, bt_tab_eps);
@@ -198,11 +181,10 @@ int main(int argc, char** argv) {
       "{\"bench\":\"pipeline_throughput\",\"workload\":\"FIG1\",\"events\":%zu,"
       "\"unique_callstacks\":%zu,"
       "\"append_events_per_sec\":%.6e,\"baseline_events_per_sec\":%.6e,"
-      "\"radix1_events_per_sec\":%.6e,\"radix_events_per_sec\":%.6e,"
-      "\"threads\":%u,\"fold_floor_events_per_sec\":%.0f,"
+      "\"radix_events_per_sec\":%.6e,\"fold_floor_events_per_sec\":%.0f,"
       "\"backtrack_dynamic_events_per_sec\":%.6e,"
       "\"backtrack_table_events_per_sec\":%.6e,\"backtrack_speedup\":%.3f}",
-      n_events, n_unique, append_eps, base_eps, rx1_eps, rx_eps, threads, fold_floor,
+      n_events, n_unique, append_eps, base_eps, rx_eps, fold_floor,
       bt_dyn_eps, bt_tab_eps, bt_speedup);
   return fold_pass ? 0 : 1;
 }

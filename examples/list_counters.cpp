@@ -12,6 +12,7 @@
 
 #include "collect/collector.hpp"
 #include "machine/counters.hpp"
+#include "support/table.hpp"
 
 using namespace dsprof;
 
@@ -24,15 +25,6 @@ void print_usage() {
       "  --json   print the counter table as one JSON object (name,\n"
       "           description, kind, pic_mask, pics, skid, multiplexable)\n"
       "  --help   print this help and exit");
-}
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-  return out;
 }
 
 void print_json() {

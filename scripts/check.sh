@@ -100,8 +100,8 @@ run_ubsan() {
 
 # TSan over the suites that run threads: the Analysis concurrent-reader
 # contract (analyze_test ConcurrentReaders), the obs per-thread shards
-# (obs_test), the threaded Reduction::run folds (event_store_test) and the
-# dsprofd session reader/reducer threads (serve_test). Any report is fatal
+# (obs_test), the dsprofd session reader/reducer threads (serve_test), and
+# the Reduction::run folds they share (event_store_test). Any report is fatal
 # (halt_on_error), so a clean exit is a clean pass.
 tsan_suites=(analyze_test obs_test event_store_test serve_test)
 run_tsan() {

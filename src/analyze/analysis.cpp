@@ -70,10 +70,7 @@ Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
   page_size_ = exps_[0]->page_size;
   ec_line_size_ = exps_[0]->ec_line_size;
   for (const auto* ex : exps_) {
-    if (run_cycles_ == 0) {
-      run_cycles_ = ex->total_cycles;
-      run_instructions_ = ex->total_instructions;
-    }
+    if (run_cycles_ == 0) run_cycles_ = ex->total_cycles;
     if (allocations_.empty()) allocations_ = ex->allocations;
   }
   compute_scales();
@@ -473,8 +470,8 @@ Analysis::MemberAccesses Analysis::member_accesses() const {
   MemberAccesses out;
   // Window interning: (experiment, interned-callstack handle, leaf function
   // entry). Dense ids are assigned in event order — a serial pass over the
-  // raw columns, so the result (and every plan derived from it) is
-  // independent of the reduction's shard count.
+  // raw columns, so the result (and every plan derived from it) does not
+  // depend on how the reduction split its folds.
   std::map<std::tuple<size_t, u64, u32, u64>, u32> windows;
   for (size_t x = 0; x < exps_.size(); ++x) {
     const experiment::Experiment& ex = *exps_[x];

@@ -11,10 +11,10 @@
 //   (Unverifiable)    branch-target info inadequate to validate the trigger
 //
 // Analysis is an immutable value over one ReductionResult (reduction.hpp).
-// The offline constructors run Reduction::run over the experiments (parallel
-// across event shards); the precomputed constructors adopt a result the
-// caller already folded. Every view computes its rows from that result when
-// called and returns them by value; nothing is cached.
+// The offline constructors run Reduction::run over the experiments; the
+// precomputed constructors adopt a result the caller already folded. Every
+// view computes its rows from that result when called and returns them by
+// value; nothing is cached.
 //
 // Thread safety: nothing mutates after construction, so any number of
 // threads may call the const accessors concurrently without a lock.
@@ -75,9 +75,8 @@ class Analysis {
   const sym::SymbolTable& symtab() const { return image_->symtab; }
   const sym::Image& image() const { return *image_; }
   u64 clock_hz() const { return clock_hz_; }
-  /// Cycles/instructions of the (first) profiled run.
+  /// Cycles of the (first) profiled run.
   u64 run_cycles() const { return run_cycles_; }
-  u64 run_instructions() const { return run_instructions_; }
   const std::vector<machine::AllocRecord>& allocations() const { return allocations_; }
   u64 page_size() const { return page_size_; }
   u64 ec_line_size() const { return ec_line_size_; }
@@ -268,7 +267,6 @@ class Analysis {
   std::vector<const experiment::Experiment*> exps_;
   const sym::Image* image_ = nullptr;
   u64 run_cycles_ = 0;
-  u64 run_instructions_ = 0;
   u64 clock_hz_ = 900'000'000;
   u64 page_size_ = 8192;
   u64 ec_line_size_ = 512;

@@ -16,8 +16,6 @@ inline constexpr size_t kNumMetrics = machine::kNumHwEvents + 1;
 
 using MetricVector = std::array<double, kNumMetrics>;
 
-inline MetricVector zero_metrics() { return MetricVector{}; }
-
 inline void add_to(MetricVector& a, size_t metric, double w) { a[metric] += w; }
 
 inline void add_all(MetricVector& a, const MetricVector& b) {

@@ -1,9 +1,5 @@
 #include "analyze/reduction.hpp"
 
-#include <algorithm>
-#include <exception>
-#include <thread>
-
 #include "obs/obs.hpp"
 
 namespace dsprof::analyze {
@@ -72,19 +68,6 @@ void merge_map(FlatHashU64Map<MetricCounts>& into, const FlatHashU64Map<MetricCo
   }
 }
 
-/// Tally per-metric sample counts for events [begin, end) — clock samples
-/// under kUserCpuMetric, hardware samples under their event id (a straight
-/// column scan, so any batching agrees on ReductionResult::sample_counts).
-void count_samples_range(MetricCounts& counts, const experiment::EventStore& ev,
-                         size_t begin, size_t end) {
-  const auto pic = ev.pic_col();
-  const auto event = ev.event_col();
-  for (size_t i = begin; i < end; ++i) {
-    counts[pic[i] == machine::kClockPic ? kUserCpuMetric
-                                        : static_cast<size_t>(event[i])] += 1;
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -106,7 +89,7 @@ void count_samples_range(MetricCounts& counts, const experiment::EventStore& ev,
 // steady-state per-event cost is one cache line plus the column loads.
 // Everything accumulated is a u64 sum, so the result is bit-identical to
 // a per-event fold (the std::map oracle in tests/reduce_oracle.cpp) for any
-// batching, shard count, or thread count.
+// batching.
 
 class RadixFolder {
  public:
@@ -332,17 +315,13 @@ class RadixFolder {
     }
   }
 
-  /// Out-of-line probe: walk the table from scratch against its current
-  /// state, creating the entry on an empty slot. The fast path only calls
-  /// this when its prefetched snapshot missed or went stale (an insert or
-  /// rehash earlier in the same chunk), so re-probing is always correct
-  /// and duplicates are impossible.
-  u32 probe_slow(u64 h, u64 c, u64 dl, u64 off, u32 meta, u32 len, const u64* arena) {
-    size_t s = h & fat_mask_;
+  /// Find the entry for this tuple, creating it on an empty slot.
+  u32 fat_id(u64 cand, u64 del, u64 off, u32 meta, u32 len, const u64* arena) {
+    size_t s = fat_hash(cand, del, off, meta, len) & fat_mask_;
     for (;;) {
       const u32 slot = fat_slots_[s];
       if (slot == 0) {
-        const u32 fid = make_fat(c, dl, off, meta, len, arena);
+        const u32 fid = make_fat(cand, del, off, meta, len, arena);
         if (fats_.size() * 2 > fat_slots_.size()) {
           fat_rehash(fat_slots_.size() * 2);  // reinserts the new entry too
         } else {
@@ -351,7 +330,7 @@ class RadixFolder {
         return fid;
       }
       const FatEntry& e = fats_[slot - 1];
-      if (e.cand == c && e.del == dl && e.off == off && e.meta == meta && e.len == len) {
+      if (e.cand == cand && e.del == del && e.off == off && e.meta == meta && e.len == len) {
         return slot - 1;
       }
       s = (s + 1) & fat_mask_;
@@ -418,6 +397,7 @@ class RadixFolder {
       dec_n_[e.did] += e.n;
       dec_w_[e.did] += e.w;
       outcome_counts_[e.outcome] += e.n;
+      r.sample_counts[e.metric] += e.n;
       path_mc_[e.pid][e.metric] += e.w;
     }
     for (const u32 id : touched_decs_) {
@@ -512,55 +492,13 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
   // classification and path construction only run on a fat miss — and a
   // tuple's first event is always a fat miss, so decisions and paths are
   // created in exactly the order a per-event partition would create them.
-  //
-  // The loop is software-pipelined in chunks: stage A computes hashes and
-  // prefetches the slot lines, stage B reads the slots and prefetches the
-  // entry lines, stage C verifies and accumulates. The two dependent
-  // random loads per event thus overlap across the whole chunk instead of
-  // serializing per event. Stage C's inserts can invalidate the snapshots
-  // taken by stage B for later events in the same chunk — any snapshot
-  // that is empty or fails the field compare falls back to probe_slow,
-  // which re-walks the current table, so stale snapshots cost time, never
-  // correctness (a nonzero snapshot that passes the compare is right by
-  // construction: ids are stable and entries are immutable keys).
-  constexpr size_t kChunk = 256;
-  u64 h_arr[kChunk];
-  u32 slot_arr[kChunk];
-  for (size_t c0 = begin; c0 < end; c0 += kChunk) {
-    const size_t cn = std::min(end - c0, kChunk);
-    for (size_t j = 0; j < cn; ++j) {
-      const size_t i = c0 + j;
-      const u32 meta = u32{pic[i]} | (u32{event[i]} << 8) | (u32{flags[i]} << 16);
-      const u64 h = fat_hash(cand[i], del[i], cs_off[i], meta, cs_len[i]);
-      h_arr[j] = h;
-      __builtin_prefetch(&fat_slots_[h & fat_mask_]);
-    }
-    for (size_t j = 0; j < cn; ++j) {
-      const u32 slot = fat_slots_[h_arr[j] & fat_mask_];
-      slot_arr[j] = slot;
-      if (slot != 0) __builtin_prefetch(&fats_[slot - 1]);
-    }
-    for (size_t j = 0; j < cn; ++j) {
-      const size_t i = c0 + j;
-      const u32 meta = u32{pic[i]} | (u32{event[i]} << 8) | (u32{flags[i]} << 16);
-      const u64 c = cand[i], dl = del[i], off = cs_off[i];
-      const u32 len = cs_len[i];
-      u32 fid;
-      const u32 slot = slot_arr[j];
-      if (slot != 0) {
-        const FatEntry& e = fats_[slot - 1];
-        fid = (e.cand == c && e.del == dl && e.off == off && e.meta == meta && e.len == len)
-                  ? slot - 1
-                  : probe_slow(h_arr[j], c, dl, off, meta, len, arena);
-      } else {
-        fid = probe_slow(h_arr[j], c, dl, off, meta, len, arena);
-      }
-      FatEntry& e = fats_[fid];
-      const u64 w = weight[i];
-      e.w += w;
-      e.n += 1;
-      if (e.emit_ea) r.ea_samples.push_back({ea[i], e.metric, static_cast<double>(w)});
-    }
+  for (size_t i = begin; i < end; ++i) {
+    const u32 meta = u32{pic[i]} | (u32{event[i]} << 8) | (u32{flags[i]} << 16);
+    FatEntry& e = fats_[fat_id(cand[i], del[i], cs_off[i], meta, cs_len[i], arena)];
+    const u64 w = weight[i];
+    e.w += w;
+    e.n += 1;
+    if (e.emit_ea) r.ea_samples.push_back({ea[i], e.metric, static_cast<double>(w)});
   }
 
   flush(r);
@@ -573,66 +511,23 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
 }
 
 // ---------------------------------------------------------------------------
-// Reduction::run — the offline driver: shard layout, folds, merge.
-
-unsigned Reduction::resolve_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+// Reduction::run — the offline driver: one fold per experiment, then merge.
 
 ReductionResult Reduction::run(const std::vector<const Experiment*>& exps,
                                const ReduceOptions& /*options*/) {
   DSP_CHECK(!exps.empty(), "no experiments to analyze");
-  // Shard layout over the experiments' events concatenated in order:
-  // contiguous ranges, one per worker, at least kMinShardEvents each (don't
-  // spin threads for tiny stores).
-  constexpr size_t kMinShardEvents = 4096;
-  std::vector<size_t> prefix{0};
-  for (const auto* ex : exps) prefix.push_back(prefix.back() + ex->events.size());
-  const size_t n = prefix.back();
-  // Nothing to fold: an unfolded reducer still carries the func_names.
-  if (n == 0) return IncrementalReducer(exps[0]->image.symtab, exps[0]->counters).snapshot();
-  const size_t nshards = std::clamp<size_t>(n / kMinShardEvents, 1, resolve_threads());
-
-  // One reducer per (shard, experiment) segment: a reducer binds one
-  // experiment's symbols and backtrack flags.
-  std::vector<std::vector<IncrementalReducer>> segments(nshards);
-  std::vector<std::exception_ptr> failed(nshards);  // rethrown after the join
-  const auto fold_shard = [&](size_t s) {
-    try {
-      static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
-      static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
-      const obs::ScopedSpan span(kShardSpan);
-      const obs::ScopedTimer timer(kShardNs);
-      const size_t lo = n * s / nshards, hi = n * (s + 1) / nshards;
-      for (size_t e = 0; e < exps.size(); ++e) {
-        const size_t b = std::max(lo, prefix[e]), end = std::min(hi, prefix[e + 1]);
-        if (b >= end) continue;
-        const Experiment& ex = *exps[e];
-        segments[s].emplace_back(ex.image.symtab, ex.counters);
-        segments[s].back().fold(ex.events, b - prefix[e], end - prefix[e]);
-      }
-    } catch (...) {
-      failed[s] = std::current_exception();
-    }
-  };
-  if (nshards == 1) {
-    fold_shard(0);
-  } else {
-    std::vector<std::jthread> pool;  // joined on every exit path
-    pool.reserve(nshards);
-    for (size_t s = 0; s < nshards; ++s) pool.emplace_back(fold_shard, s);
+  // One reducer per experiment: a reducer binds one experiment's symbols
+  // and backtrack flags.
+  std::vector<IncrementalReducer> reds;
+  reds.reserve(exps.size());
+  for (const auto* ex : exps) {
+    reds.emplace_back(ex->image.symtab, ex->counters);
+    reds.back().fold(ex->events, 0, ex->events.size());
   }
-  for (const auto& e : failed) {
-    if (e) std::rethrow_exception(e);
-  }
-
   static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
   const obs::ScopedTimer merge_timer(kMergeNs);
   std::vector<const ReductionResult*> parts;
-  for (const auto& shard : segments) {
-    for (const auto& red : shard) parts.push_back(&red.result());
-  }
+  for (const auto& red : reds) parts.push_back(&red.result());
   return merge_results(parts);
 }
 
@@ -703,7 +598,6 @@ void IncrementalReducer::fold(const experiment::EventStore& events, size_t begin
   folder_->fold(r_, events, begin, end, oc);
   oc.flush(end - begin);
   r_.events_reduced += end - begin;
-  count_samples_range(r_.sample_counts, events, begin, end);
 }
 
 }  // namespace dsprof::analyze

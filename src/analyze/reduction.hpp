@@ -18,11 +18,10 @@
 //
 // Because every aggregate is an integer sum, folding [0,a), [a,b), ...,
 // [y,n) and merging is bit-identical to one fold over [0,n) for any split.
-// Reduction::run (offline er_print) splits the concatenated events of its
-// experiments into contiguous shards, one worker thread per shard, folds
-// each (shard, experiment) segment with its own IncrementalReducer, and
-// merges the segments in event order; dsprofd folds batches into one
-// reducer per session and the fleet view merges the sessions. er_print -J,
+// Reduction::run (offline er_print) folds each experiment with its own
+// IncrementalReducer and merges them in experiment order; dsprofd folds
+// batches into one reducer per session and the fleet view merges the
+// sessions. er_print -J,
 // the dsprofd snapshot and the merged fleet view therefore render the same
 // bytes by construction. tests/reduce_oracle.cpp keeps the seed's std::map
 // fold as the equivalence oracle for the tests and the bench yardsticks.
@@ -40,12 +39,6 @@ namespace dsprof::analyze {
 
 /// Integer metric accumulator — exact, order-independent summation.
 using MetricCounts = std::array<u64, kNumMetrics>;
-
-inline MetricVector to_metric_vector(const MetricCounts& c) {
-  MetricVector v{};
-  for (size_t i = 0; i < kNumMetrics; ++i) v[i] = static_cast<double>(c[i]);
-  return v;
-}
 
 /// One effective-address sample (validated trigger with a recomputed EA),
 /// kept in event order for the address-space views.
@@ -97,7 +90,7 @@ struct ReductionResult {
 /// been concatenated in part order and reduced offline. Exact: every
 /// aggregate is an integer (u64) sum, so the merge is associative and
 /// commutative per key, and EA samples concatenate in part order just like
-/// the offline shard merge. This is the fleet MergedView primitive — the
+/// the offline per-experiment merge. This is the fleet MergedView primitive — the
 /// cross-session extension of the online-vs-offline bit-identity invariant
 /// (merging N sessions' live aggregates == one offline multi-dir
 /// reduction). All parts must come from the same binary (func_names must
@@ -114,16 +107,15 @@ class Reduction {
   /// call sites (`run(exps, ReduceOptions{})`) still compile.
   struct ReduceOptions {};
 
-  /// The worker count Reduction::run uses:
-  /// std::thread::hardware_concurrency(), at least 1.
-  static unsigned resolve_threads();
+  /// The worker count Reduction::run uses: 1, the calling thread. Kept so
+  /// that dsbench can stamp its provenance line with it.
+  static unsigned resolve_threads() { return 1; }
 
   static Engine resolve_engine() { return Engine::Radix; }
 
-  /// Reduce all events of `exps` (which must share one binary): contiguous
-  /// shards of at least 4096 events, at most one per worker, each (shard,
-  /// experiment) segment folded by its own IncrementalReducer, then
-  /// merge_results over the segments in event order.
+  /// Reduce all events of `exps` (which must share one binary) on the
+  /// calling thread: each experiment folded by its own IncrementalReducer,
+  /// then merge_results over them in experiment order.
   static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
                              const ReduceOptions& options = {});
 };
@@ -137,12 +129,12 @@ class RadixFolder;
 /// Online incremental reduction: the dsprofd streaming path (src/serve/).
 ///
 /// Batches of events are folded into a live ReductionResult as they arrive.
-/// This is also the fold Reduction::run runs per (shard, experiment)
-/// segment. Because every aggregate accumulates integer weights (u64) —
-/// associative and commutative — the result after folding batches [0,a),
-/// [a,b), ... [y,n) is bit-identical to one offline reduction over [0,n)
-/// for any batching, and per-event EA samples concatenate in event order
-/// exactly as the offline segment merge does. That is the serve subsystem's
+/// This is also the fold Reduction::run runs per experiment. Because every
+/// aggregate accumulates integer weights (u64) — associative and
+/// commutative — the result after folding batches [0,a), [a,b), ... [y,n)
+/// is bit-identical to one offline reduction over [0,n) for any batching,
+/// and per-event EA samples concatenate in event order exactly as the
+/// offline merge does. That is the serve subsystem's
 /// online-vs-offline invariant (DESIGN.md §3.3); tests/serve_test.cpp and
 /// the streamed-session integration test enforce it end to end.
 ///
@@ -170,8 +162,6 @@ class IncrementalReducer {
 
   /// Deep copy of the live aggregates for snapshot rendering.
   ReductionResult snapshot() const { return r_; }
-
-  size_t events_folded() const { return r_.events_reduced; }
 
  private:
   const sym::SymbolTable* symtab_;

@@ -357,30 +357,6 @@ std::string render_member_expansion(const Analysis& a, const std::string& struct
 
 namespace {
 
-/// Minimal JSON string escaping: quote, backslash, and control characters.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// {"ucpu":123,"ecstall":456} over the present columns. Every metric weight
 /// is an integral count (reduction.hpp: integer accumulation), so rendering
 /// through fmt_count is exact and stable across platforms.

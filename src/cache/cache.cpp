@@ -66,10 +66,6 @@ bool Cache::probe(u64 addr) const {
   return false;
 }
 
-void Cache::invalidate_all() {
-  for (auto& l : lines_) l = Line{};
-}
-
 namespace {
 CacheConfig tlb_as_cache(const TlbConfig& t) {
   CacheConfig c;
@@ -86,7 +82,5 @@ Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg), cache_(tlb_as_cache(cfg)) {
 }
 
 bool Tlb::probe(u64 addr) const { return cache_.probe(addr); }
-
-void Tlb::invalidate_all() { cache_.invalidate_all(); }
 
 }  // namespace dsprof::cache

@@ -63,8 +63,6 @@ class Cache {
   /// True if the line containing `addr` is resident (does not disturb LRU).
   bool probe(u64 addr) const;
 
-  void invalidate_all();
-
   const CacheConfig& config() const { return cfg_; }
   u64 line_addr(u64 addr) const { return addr & ~static_cast<u64>(cfg_.line_size - 1); }
 
@@ -113,7 +111,6 @@ class Tlb {
   /// True on hit; on miss the translation is filled (hardware table walk).
   bool lookup(u64 addr) { return cache_.access(addr, /*write=*/false).hit; }
   bool probe(u64 addr) const;
-  void invalidate_all();
 
   const TlbConfig& config() const { return cfg_; }
   u64 accesses() const { return cache_.accesses(); }

@@ -4,17 +4,6 @@
 
 namespace dsprof::mem {
 
-const char* seg_kind_name(SegKind k) {
-  switch (k) {
-    case SegKind::Text: return "text";
-    case SegKind::Data: return "data";
-    case SegKind::Heap: return "heap";
-    case SegKind::Stack: return "stack";
-    case SegKind::Unmapped: return "unmapped";
-  }
-  return "?";
-}
-
 void Memory::add_segment(Segment seg) {
   DSP_CHECK(seg.size > 0, "empty segment: " + seg.name);
   for (const auto& s : segments_) {

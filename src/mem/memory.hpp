@@ -29,8 +29,6 @@ inline constexpr u64 kStackSize = 0x80'0000ull;  // 8 MB
 /// "memory segment (of load objects or allocated to stack, heap, ...)").
 enum class SegKind : u8 { Text, Data, Heap, Stack, Unmapped };
 
-const char* seg_kind_name(SegKind k);
-
 struct Segment {
   std::string name;
   SegKind kind;

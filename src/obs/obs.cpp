@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 
+#include "support/table.hpp"
+
 namespace dsprof::obs {
 
 namespace {
@@ -290,17 +292,6 @@ std::vector<SpanRecord> span_records(std::vector<std::string>* names) {
   return out;
 }
 
-namespace {
-
-void append_json_escaped(std::string& s, const std::string& v) {
-  for (char c : v) {
-    if (c == '"' || c == '\\') s.push_back('\\');
-    s.push_back(c);
-  }
-}
-
-}  // namespace
-
 std::string Snapshot::to_json() const {
   std::string s = "{\"enabled\":";
   s += was_enabled ? "true" : "false";
@@ -308,14 +299,14 @@ std::string Snapshot::to_json() const {
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i != 0) s += ",";
     s += "\"";
-    append_json_escaped(s, counters[i].first);
+    s += json_escape(counters[i].first);
     s += "\":" + std::to_string(counters[i].second);
   }
   s += "},\"gauges\":{";
   for (size_t i = 0; i < gauges.size(); ++i) {
     if (i != 0) s += ",";
     s += "\"";
-    append_json_escaped(s, gauges[i].first);
+    s += json_escape(gauges[i].first);
     s += "\":" + std::to_string(gauges[i].second);
   }
   s += "},\"histograms\":{";
@@ -323,7 +314,7 @@ std::string Snapshot::to_json() const {
     const HistogramSnapshot& h = histograms[i].second;
     if (i != 0) s += ",";
     s += "\"";
-    append_json_escaped(s, histograms[i].first);
+    s += json_escape(histograms[i].first);
     s += "\":{\"count\":" + std::to_string(h.count) + ",\"sum\":" + std::to_string(h.sum) +
          ",\"mean\":" + std::to_string(h.mean()) +
          ",\"p50\":" + std::to_string(h.quantile(0.5)) +
@@ -386,7 +377,7 @@ std::string chrome_trace_json() {
     const SpanRecord& r = recs[i];
     if (i != 0) s += ",";
     s += "{\"name\":\"";
-    append_json_escaped(s, r.name < names.size() ? names[r.name] : "?");
+    s += json_escape(r.name < names.size() ? names[r.name] : "?");
     // Timestamps are microseconds; keep nanosecond precision as a fraction.
     s += "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(r.tid) +
          ",\"ts\":" + std::to_string(r.t0_ns / 1000) + "." +

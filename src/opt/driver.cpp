@@ -5,6 +5,7 @@
 
 #include "collect/collector.hpp"
 #include "sa/cfg.hpp"
+#include "support/table.hpp"
 
 namespace dsprof::opt {
 
@@ -161,14 +162,14 @@ std::string loop_to_json(const LoopResult& r) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(2);
-  os << "{\"workload\":\"" << r.workload << "\",\"plan\":" << plan_to_json(r.plan)
+  os << "{\"workload\":\"" << json_escape(r.workload) << "\",\"plan\":" << plan_to_json(r.plan)
      << ",\"baseline_cycles\":" << r.baseline_cycles
      << ",\"optimized_cycles\":" << r.optimized_cycles
      << ",\"speedup_pct\":" << r.speedup_pct << ",\"deltas\":[";
   for (size_t i = 0; i < r.deltas.size(); ++i) {
     const auto& d = r.deltas[i];
     if (i) os << ",";
-    os << "{\"metric\":\"" << d.name << "\",\"before\":" << json_num(d.before)
+    os << "{\"metric\":\"" << json_escape(d.name) << "\",\"before\":" << json_num(d.before)
        << ",\"after\":" << json_num(d.after) << ",\"n_before\":" << d.n_before
        << ",\"n_after\":" << d.n_after << ",\"delta_pct\":" << d.delta_pct
        << ",\"z\":" << d.z << ",\"significant\":" << (d.significant ? "true" : "false")

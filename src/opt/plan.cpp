@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "opt/affinity.hpp"
+#include "support/table.hpp"
 
 namespace dsprof::opt {
 
@@ -23,29 +24,6 @@ u64 next_pow2(u64 v) {
   u64 p = 1;
   while (p < v) p <<= 1;
   return p;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -140,54 +140,57 @@ bool ProgramFacts::may_annul(size_t w) const {
 
 namespace {
 
-struct LivenessProblem {
-  using Value = u32;
-  const ProgramFacts& pf;
+// Blocks whose exit has every register live: no static successor, or an
+// effective terminator (the instruction before the slot when the block ends
+// in transfer+slot) that hands control to code whose reads we cannot see —
+// calls, indirect jumps and host calls.
+bool exits_to_unknown(const ProgramFacts& pf, u32 b) {
+  const BasicBlock& blk = pf.cfg->blocks()[b];
+  if (blk.succ.empty()) return true;
+  size_t last = pf.block_hi_word(b) - 1;
+  if (pf.cfg->is_delay_slot(pf.pc_of(last)) && last > pf.block_lo_word(b)) --last;
+  const isa::Op op = pf.code[last].op;
+  return op == isa::Op::CALL || op == isa::Op::JMPL || op == isa::Op::HCALL;
+}
 
-  Value init() const { return 0; }
-  Value boundary(u32 /*b*/) const { return kAllRegs; }
-  bool is_boundary(u32 b) const {
-    const BasicBlock& blk = pf.cfg->blocks()[b];
-    if (blk.succ.empty()) return true;
-    // Effective terminator: the instruction before the slot when the block
-    // ends in transfer+slot. Calls, indirect jumps and host calls hand
-    // control to code whose reads we cannot see: everything is live.
-    size_t last = pf.block_hi_word(b) - 1;
-    if (pf.cfg->is_delay_slot(pf.pc_of(last)) && last > pf.block_lo_word(b)) --last;
-    const isa::Op op = pf.code[last].op;
-    return op == isa::Op::CALL || op == isa::Op::JMPL || op == isa::Op::HCALL;
-  }
-  bool join(Value& into, const Value& from) const {
-    const Value next = into | from;
-    const bool changed = next != into;
-    into = next;
-    return changed;
-  }
-  Value transfer(u32 b, const Value& live_out) const {
-    Value live = live_out;
-    const size_t lo = pf.block_lo_word(b);
-    for (size_t w = pf.block_hi_word(b); w-- > lo;) {
-      const RegFacts f = reg_facts(pf.code[w]);
-      // An annullable delay slot may be skipped: its def never kills.
-      if (!pf.may_annul(w) && f.def != kNoReg) live &= ~bit(f.def);
-      live |= f.uses;
-    }
-    return live;
-  }
-};
+// Live registers before word `w`, given those live after it. An annullable
+// delay slot may be skipped: its def never kills.
+u32 live_before(const ProgramFacts& pf, size_t w, u32 live) {
+  const RegFacts f = reg_facts(pf.code[w]);
+  if (!pf.may_annul(w) && f.def != kNoReg) live &= ~bit(f.def);
+  return live | f.uses;
+}
 
 }  // namespace
 
 Liveness Liveness::build(const ProgramFacts& pf) {
   Liveness lv;
-  LivenessProblem prob{pf};
-  std::vector<u32> exit_side;  // live-out per block (the meet side)
-  std::vector<u32> entry_side;
-  const SolveResult res =
-      solve_worklist(pf, prob, Direction::Backward, exit_side, entry_side);
-  lv.iterations_ = res.iterations;
-  lv.live_out_ = std::move(exit_side);
-  lv.live_in_ = std::move(entry_side);
+  const size_t n = pf.num_blocks();
+  lv.live_out_.assign(n, 0);
+  std::vector<u32> live_in(n, 0);
+  // Worklist to the fixpoint, seeded with every block in evaluation order
+  // (reverse RPO); a block whose live-in set grows requeues its
+  // predecessors, which read it.
+  std::vector<u32> work(pf.rpo.rbegin(), pf.rpo.rend());
+  std::vector<u8> queued(n, 1);
+  for (size_t head = 0; head < work.size(); ++head) {
+    const u32 b = work[head];
+    queued[b] = 0;
+    u32 live = exits_to_unknown(pf, b) ? kAllRegs : 0;
+    for (const u32 s : pf.cfg->blocks()[b].succ) live |= live_in[s];
+    lv.live_out_[b] = live;
+    const size_t lo = pf.block_lo_word(b);
+    for (size_t w = pf.block_hi_word(b); w-- > lo;) live = live_before(pf, w, live);
+    ++lv.iterations_;
+    if ((live_in[b] | live) == live_in[b]) continue;
+    live_in[b] |= live;
+    for (const u32 p : pf.preds[b]) {
+      if (!queued[p]) {
+        queued[p] = 1;
+        work.push_back(p);
+      }
+    }
+  }
 
   // Dead-write scan: replay each reachable block backward from its live-out
   // set; a non-memory ALU definition of a register that is dead right after
@@ -207,8 +210,7 @@ Liveness Liveness::build(const ProgramFacts& pf) {
       if (reportable && (live & bit(f.def)) == 0) {
         lv.dead_.push_back(DeadWrite{pf.pc_of(w), f.def});
       }
-      if (!pf.may_annul(w) && f.def != kNoReg) live &= ~bit(f.def);
-      live |= f.uses;
+      live = live_before(pf, w, live);
     }
   }
   std::sort(lv.dead_.begin(), lv.dead_.end(),

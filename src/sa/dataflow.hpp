@@ -1,13 +1,12 @@
-// Worklist dataflow framework over the reconstructed CFG (cfg.hpp).
+// Dataflow analyses over the reconstructed CFG (cfg.hpp).
 //
-// The framework is deliberately small: ProgramFacts decodes the text once
-// and derives the block-level facts every analysis needs (predecessor lists,
-// a reverse postorder, delay-slot/annul structure), reg_facts() gives the
-// per-instruction register transfer function, and solve_worklist() runs any
-// forward or backward problem to its fixpoint. Two instantiations live
-// here:
+// ProgramFacts decodes the text once and derives the block-level facts every
+// analysis needs (predecessor lists, a reverse postorder, delay-slot/annul
+// structure), and reg_facts() gives the per-instruction register transfer
+// function. Two analyses live here:
 //
-//   * Liveness     — backward may-analysis over 32-bit register masks. Blocks
+//   * Liveness     — backward may-analysis over 32-bit register masks, run
+//     to its fixpoint by a worklist over the blocks. Blocks
 //     ending in CALL/JMPL/HCALL (or with no static successors) are boundary
 //     blocks with everything live: the callee/host may read any register.
 //     Feeds the dead-register-write lint rule.
@@ -51,7 +50,6 @@
 // scc_fuzz_test property harness over random programs.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -110,80 +108,6 @@ struct ProgramFacts {
 };
 
 // ---------------------------------------------------------------------------
-// Generic worklist solver
-
-enum class Direction : u8 { Forward, Backward };
-
-struct SolveResult {
-  size_t iterations = 0;  // block transfer evaluations until fixpoint
-};
-
-/// Run `prob` to its fixpoint over `pf`'s blocks. The problem supplies the
-/// lattice and transfer:
-///   Value   — copyable fact type;
-///   Value init()                      — bottom (pre-join) value;
-///   Value boundary(u32 b)             — entry fact for boundary blocks
-///                                       (entry blocks forward, exit-like
-///                                       blocks backward);
-///   bool   is_boundary(u32 b)         — which blocks get boundary();
-///   bool   join(Value& into, const Value& from) — merge, true if changed;
-///   Value  transfer(u32 b, const Value& in)     — block transfer function.
-/// `in` and `out` come back indexed by block: `in` is the fact at the block
-/// entry (forward) or exit (backward) side facing the meet; `out` is the
-/// transferred side.
-template <class Problem>
-SolveResult solve_worklist(const ProgramFacts& pf, Problem& prob, Direction dir,
-                           std::vector<typename Problem::Value>& in,
-                           std::vector<typename Problem::Value>& out) {
-  const size_t n = pf.num_blocks();
-  in.assign(n, prob.init());
-  out.assign(n, prob.init());
-  SolveResult res;
-  if (n == 0) return res;
-  // Seed every block in evaluation order: RPO forward, reverse RPO backward.
-  std::vector<u32> order = pf.rpo;
-  if (dir == Direction::Backward) std::reverse(order.begin(), order.end());
-  std::vector<u8> queued(n, 1);
-  std::vector<u32> work(order.begin(), order.end());
-  size_t head = 0;
-  auto edges_in = [&](u32 b) -> const std::vector<u32>& {
-    return dir == Direction::Forward ? pf.preds[b] : pf.cfg->blocks()[b].succ;
-  };
-  while (head < work.size()) {
-    const u32 b = work[head++];
-    queued[b] = 0;
-    typename Problem::Value v = prob.init();
-    if (prob.is_boundary(b)) {
-      prob.join(v, prob.boundary(b));
-    }
-    for (const u32 e : edges_in(b)) prob.join(v, out[e]);
-    in[b] = v;
-    typename Problem::Value t = prob.transfer(b, in[b]);
-    ++res.iterations;
-    bool changed = prob.join(out[b], t);
-    if (changed) {
-      // Requeue dependents.
-      if (dir == Direction::Forward) {
-        for (const u32 s : pf.cfg->blocks()[b].succ) {
-          if (!queued[s]) {
-            queued[s] = 1;
-            work.push_back(s);
-          }
-        }
-      } else {
-        for (const u32 p : pf.preds[b]) {
-          if (!queued[p]) {
-            queued[p] = 1;
-            work.push_back(p);
-          }
-        }
-      }
-    }
-  }
-  return res;
-}
-
-// ---------------------------------------------------------------------------
 // Liveness
 
 struct DeadWrite {
@@ -195,8 +119,7 @@ class Liveness {
  public:
   static Liveness build(const ProgramFacts& pf);
 
-  /// Registers live on entry / exit of block `b`, as a bitmask.
-  u32 live_in(u32 b) const { return live_in_[b]; }
+  /// Registers live on exit of block `b`, as a bitmask.
   u32 live_out(u32 b) const { return live_out_[b]; }
 
   /// Register-writing instructions whose value is provably never read:
@@ -209,7 +132,6 @@ class Liveness {
   size_t solver_iterations() const { return iterations_; }
 
  private:
-  std::vector<u32> live_in_;
   std::vector<u32> live_out_;
   std::vector<DeadWrite> dead_;
   size_t iterations_ = 0;

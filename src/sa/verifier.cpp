@@ -3,6 +3,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "support/table.hpp"
+
 namespace dsprof::sa {
 
 using machine::TriggerKind;
@@ -120,37 +122,11 @@ std::string to_text(const VerifyReport& r) {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c)) << std::dec
-             << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string to_json(const VerifyReport& r) {
   std::ostringstream os;
-  os << "{\"name\":";
-  json_escape(os, r.name);
-  os << ",\"text_base\":" << r.text_base << ",\"entry\":" << r.entry
-     << ",\"text_words\":" << r.text_words << ",\"functions\":" << r.num_functions
+  os << "{\"name\":\"" << json_escape(r.name) << "\",\"text_base\":" << r.text_base
+     << ",\"entry\":" << r.entry << ",\"text_words\":" << r.text_words
+     << ",\"functions\":" << r.num_functions
      << ",\"hwcprof\":" << (r.hwcprof ? "true" : "false")
      << ",\"branch_targets\":" << (r.has_branch_targets ? "true" : "false")
      << ",\"num_branch_targets\":" << r.num_branch_targets << ",\"cfg\":{\"blocks\":"
@@ -168,10 +144,8 @@ std::string to_json(const VerifyReport& r) {
     for (size_t i = 0; i < r.func_coverage.size(); ++i) {
       const auto& f = r.func_coverage[i];
       if (i) os << ",";
-      os << "{\"name\":";
-      json_escape(os, f.name);
-      os << ",\"lo\":" << f.lo << ",\"hi\":" << f.hi << ",\"mem_ops\":" << f.mem_ops
-         << ",\"reachable_mem_ops\":" << f.reachable_mem_ops
+      os << "{\"name\":\"" << json_escape(f.name) << "\",\"lo\":" << f.lo << ",\"hi\":" << f.hi
+         << ",\"mem_ops\":" << f.mem_ops << ",\"reachable_mem_ops\":" << f.reachable_mem_ops
          << ",\"attributable\":" << f.attributable << ",\"fraction\":" << f.fraction << "}";
     }
     os << "],\"irreducible\":" << (r.irreducible ? "true" : "false") << ",\"loops\":[";
@@ -179,9 +153,8 @@ std::string to_json(const VerifyReport& r) {
       const auto& l = r.loops[i];
       if (i) os << ",";
       os << "{\"head\":" << l.head_pc << ",\"depth\":" << l.depth
-         << ",\"blocks\":" << l.blocks.size() << ",\"function\":";
-      json_escape(os, l.function);
-      os << ",\"mem_refs\":[";
+         << ",\"blocks\":" << l.blocks.size() << ",\"function\":\""
+         << json_escape(l.function) << "\",\"mem_refs\":[";
       for (size_t j = 0; j < l.mem_refs.size(); ++j) {
         const auto& m = l.mem_refs[j];
         if (j) os << ",";
@@ -204,11 +177,8 @@ std::string to_json(const VerifyReport& r) {
     const Diag& d = r.diags[i];
     if (i) os << ",";
     os << "{\"severity\":\"" << severity_name(d.severity) << "\",\"pc\":" << d.pc
-       << ",\"rule\":";
-    json_escape(os, d.rule);
-    os << ",\"message\":";
-    json_escape(os, d.message);
-    os << "}";
+       << ",\"rule\":\"" << json_escape(d.rule) << "\",\"message\":\""
+       << json_escape(d.message) << "\"}";
   }
   os << "],\"errors\":" << r.errors() << ",\"warnings\":" << r.warnings()
      << ",\"clean\":" << (r.clean() ? "true" : "false") << "}";

@@ -37,9 +37,6 @@ struct [[nodiscard]] Status {
   std::string message;
 
   bool ok() const { return code == StatusCode::Ok; }
-  /// Timeouts are the one transient failure: clients retry them with
-  /// backoff; every other non-Ok code is terminal for the attempt.
-  bool retryable() const { return code == StatusCode::Timeout; }
 
   std::string to_string() const {
     std::string s = status_code_name(code);
@@ -49,7 +46,5 @@ struct [[nodiscard]] Status {
 
   static Status make(StatusCode c, std::string msg) { return {c, std::move(msg)}; }
 };
-
-inline Status ok_status() { return {}; }
 
 }  // namespace dsprof::serve

@@ -11,117 +11,18 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 namespace dsprof::serve {
 
-// --- in-process pipe --------------------------------------------------------
-
 namespace {
 
-/// One direction of the pipe: a bounded byte queue with blocking producer
-/// and consumer sides. shutdown() wakes both.
-class PipeDuct {
- public:
-  explicit PipeDuct(size_t capacity) : capacity_(capacity) {}
-
-  Status send(const u8* data, size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    size_t off = 0;
-    while (off < n) {
-      space_cv_.wait(lock, [&] { return closed_ || bytes_.size() < capacity_; });
-      if (closed_) return Status::make(StatusCode::Disconnected, "pipe closed");
-      const size_t room = capacity_ - bytes_.size();
-      const size_t take = std::min(room, n - off);
-      bytes_.insert(bytes_.end(), data + off, data + off + take);
-      off += take;
-      data_cv_.notify_all();
-    }
-    return {};
-  }
-
-  Status recv_some(u8* buf, size_t cap, size_t& got, int timeout_ms) {
-    got = 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto ready = [&] { return closed_ || !bytes_.empty(); };
-    if (timeout_ms < 0) {
-      data_cv_.wait(lock, ready);
-    } else if (!data_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready)) {
-      return Status::make(StatusCode::Timeout, "pipe recv timed out");
-    }
-    if (bytes_.empty()) {
-      // closed_ must be set (ready() held with no data).
-      return Status::make(StatusCode::Disconnected, "pipe closed");
-    }
-    const size_t take = std::min(cap, bytes_.size());
-    std::copy(bytes_.begin(), bytes_.begin() + take, buf);
-    bytes_.erase(bytes_.begin(), bytes_.begin() + take);
-    got = take;
-    space_cv_.notify_all();
-    return {};
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    data_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
- private:
-  const size_t capacity_;
-  std::mutex mu_;
-  std::condition_variable data_cv_;   // consumer waits: data or close
-  std::condition_variable space_cv_;  // producer waits: space or close
-  std::deque<u8> bytes_;
-  bool closed_ = false;
-};
-
-class PipeTransport final : public Transport {
- public:
-  PipeTransport(std::shared_ptr<PipeDuct> out, std::shared_ptr<PipeDuct> in)
-      : out_(std::move(out)), in_(std::move(in)) {}
-  ~PipeTransport() override { shutdown(); }
-
-  Status send(const u8* data, size_t n) override { return out_->send(data, n); }
-  Status recv_some(u8* buf, size_t cap, size_t& got, int timeout_ms) override {
-    return in_->recv_some(buf, cap, got, timeout_ms);
-  }
-  void shutdown() override {
-    out_->close();
-    in_->close();
-  }
-
- private:
-  std::shared_ptr<PipeDuct> out_;
-  std::shared_ptr<PipeDuct> in_;
-};
-
-}  // namespace
-
-std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> make_pipe_pair(
-    size_t capacity) {
-  auto a_to_b = std::make_shared<PipeDuct>(capacity);
-  auto b_to_a = std::make_shared<PipeDuct>(capacity);
-  auto a = std::make_unique<PipeTransport>(a_to_b, b_to_a);
-  auto b = std::make_unique<PipeTransport>(b_to_a, a_to_b);
-  return {std::move(a), std::move(b)};
-}
-
-// --- stream sockets (Unix-domain and TCP) -----------------------------------
-
-namespace {
-
-/// One connected SOCK_STREAM fd; both socket flavors get identical send
-/// (all-or-fail, blocks on a full buffer), poll-based recv timeout, and
-/// shutdown semantics — the wire protocol sees no difference between a
-/// local and a remote peer.
+/// One connected SOCK_STREAM fd: every connection — in-process pair, Unix
+/// or TCP — gets this send (all-or-fail, blocks on a full buffer),
+/// poll-based recv timeout and shutdown, so the wire protocol sees no
+/// difference between a local and a remote peer.
 class FdTransport final : public Transport {
  public:
   explicit FdTransport(int fd) : fd_(fd) {}
@@ -185,74 +86,83 @@ void set_nodelay(int fd) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Shared poll-then-accept loop for both listener flavors.
-int poll_accept(int listen_fd, Status& status, int timeout_ms) {
-  struct pollfd pfd {listen_fd, POLLIN, 0};
-  for (;;) {
-    const int pr = ::poll(&pfd, 1, timeout_ms);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      status = Status::make(StatusCode::IoError, std::string("poll: ") + std::strerror(errno));
-      return -1;
-    }
-    if (pr == 0) {
-      status = Status::make(StatusCode::Timeout, "accept timed out");
-      return -1;
-    }
-    break;
+/// Open a `domain` stream socket bound to `addr` and listening; throws
+/// dsprof::Error naming `where` on failure.
+int listen_socket(int domain, const sockaddr* addr, socklen_t len, int backlog,
+                  const std::string& where) {
+  const int fd = ::socket(domain, SOCK_STREAM, 0);
+  DSP_CHECK(fd >= 0, std::string("socket: ") + std::strerror(errno));
+  const int one = 1;  // TCP: rebind a port in TIME_WAIT (no effect on Unix)
+  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const bool bound = ::bind(fd, addr, len) == 0;
+  if (!bound || ::listen(fd, backlog) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    fail((bound ? "listen " : "bind ") + where + ": " + err);
   }
-  const int cfd = ::accept(listen_fd, nullptr, nullptr);
-  if (cfd < 0) {
-    status = Status::make(listen_fd < 0 ? StatusCode::Disconnected : StatusCode::IoError,
-                          std::string("accept: ") + std::strerror(errno));
-  }
-  return cfd;
+  return fd;
 }
 
 }  // namespace
 
-UdsListener::UdsListener(const std::string& path) : path_(path) {
-  DSP_CHECK(path.size() < sizeof(sockaddr_un{}.sun_path), "socket path too long");
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  DSP_CHECK(fd_ >= 0, std::string("socket: ") + std::strerror(errno));
-  ::unlink(path.c_str());
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    fail("bind " + path + ": " + err);
-  }
-  if (::listen(fd_, 64) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    fail("listen " + path + ": " + err);
-  }
+std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> make_pipe_pair() {
+  int fds[2];
+  DSP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
+            std::string("socketpair: ") + std::strerror(errno));
+  return {std::make_unique<FdTransport>(fds[0]), std::make_unique<FdTransport>(fds[1])};
 }
 
-UdsListener::~UdsListener() { close(); }
+// --- listeners --------------------------------------------------------------
 
-std::unique_ptr<Transport> UdsListener::accept(Status& status, int timeout_ms) {
+Listener::~Listener() { close(); }
+
+std::unique_ptr<Transport> Listener::accept(Status& status, int timeout_ms) {
   status = {};
   if (fd_ < 0) {
     status = Status::make(StatusCode::Disconnected, "listener closed");
     return nullptr;
   }
-  const int cfd = poll_accept(fd_, status, timeout_ms);
-  if (cfd < 0) return nullptr;
+  struct pollfd pfd {fd_, POLLIN, 0};
+  for (;;) {
+    const int pr = ::poll(&pfd, 1, timeout_ms);
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      status = Status::make(StatusCode::IoError, std::string("poll: ") + std::strerror(errno));
+      return nullptr;
+    }
+    if (pr == 0) {
+      status = Status::make(StatusCode::Timeout, "accept timed out");
+      return nullptr;
+    }
+    break;
+  }
+  const int cfd = ::accept(fd_, nullptr, nullptr);
+  if (cfd < 0) {
+    status = Status::make(StatusCode::IoError, std::string("accept: ") + std::strerror(errno));
+    return nullptr;
+  }
+  if (nodelay_) set_nodelay(cfd);
   return std::make_unique<FdTransport>(cfd);
 }
 
-void UdsListener::close() {
+void Listener::close() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
-    ::unlink(path_.c_str());
+    if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
   }
+}
+
+UdsListener::UdsListener(const std::string& path) {
+  DSP_CHECK(path.size() < sizeof(sockaddr_un{}.sun_path), "socket path too long");
+  ::unlink(path.c_str());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  fd_ = listen_socket(AF_UNIX, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), 64, path);
+  unlink_path_ = path;
+  endpoint_ = "unix://" + path;
 }
 
 std::unique_ptr<Transport> uds_connect(const std::string& path, Status& status) {
@@ -280,60 +190,22 @@ std::unique_ptr<Transport> uds_connect(const std::string& path, Status& status) 
 
 // --- TCP --------------------------------------------------------------------
 
-TcpListener::TcpListener(const std::string& host, u16 port) : host_(host), port_(port) {
+TcpListener::TcpListener(const std::string& host, u16 port) : port_(port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   DSP_CHECK(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
             "bad TCP host '" + host + "' (numeric IPv4 expected)");
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  DSP_CHECK(fd_ >= 0, std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  (void)::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    fail("bind tcp://" + host + ":" + std::to_string(port) + ": " + err);
-  }
-  if (::listen(fd_, 128) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    fail("listen tcp://" + host + ":" + std::to_string(port) + ": " + err);
-  }
+  fd_ = listen_socket(AF_INET, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), 128,
+                      "tcp://" + host + ":" + std::to_string(port));
+  nodelay_ = true;
   // Ephemeral-port request (port 0): report what the kernel picked.
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
-}
-
-TcpListener::~TcpListener() { close(); }
-
-std::unique_ptr<Transport> TcpListener::accept(Status& status, int timeout_ms) {
-  status = {};
-  if (fd_ < 0) {
-    status = Status::make(StatusCode::Disconnected, "listener closed");
-    return nullptr;
-  }
-  const int cfd = poll_accept(fd_, status, timeout_ms);
-  if (cfd < 0) return nullptr;
-  set_nodelay(cfd);
-  return std::make_unique<FdTransport>(cfd);
-}
-
-void TcpListener::close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-std::string TcpListener::endpoint() const {
-  return "tcp://" + host_ + ":" + std::to_string(port_);
+  endpoint_ = "tcp://" + host + ":" + std::to_string(port_);
 }
 
 std::unique_ptr<Transport> tcp_connect(const std::string& host, u16 port, Status& status,

@@ -1,28 +1,25 @@
 // Byte transports for the dsprofd wire protocol.
 //
-// Three implementations behind one interface:
+// One implementation: every connection is a connected SOCK_STREAM fd behind
+// the same send, recv and shutdown code, whichever way it was made:
 //
-//   * PipeTransport — an in-process, bidirectional byte pipe built on two
-//     bounded chunk queues. Hermetic (no OS sockets), so the whole
-//     client/server stack runs inside one test process under ASan/TSan.
-//     The bounded capacity is real backpressure: when the daemon stops
-//     draining (e.g. the test stalls the reducer), the client's send()
-//     blocks exactly like a full socket buffer would.
+//   * make_pipe_pair() — an in-process pair (a Unix socketpair), so the
+//     whole client/server stack runs inside one test process under
+//     ASan/TSan on the code the daemon runs. A full socket buffer is real
+//     backpressure: when the daemon stops draining (e.g. the test stalls
+//     the reducer), the client's send() blocks.
 //
 //   * Unix-domain sockets — UdsListener::accept() / uds_connect() for a
-//     single-host dsprofd + dsprof_send pair. SIGPIPE is avoided via
-//     MSG_NOSIGNAL.
+//     single-host dsprofd + dsprof_send pair.
 //
 //   * TCP sockets — TcpListener::accept() / tcp_connect() for fleet-scale
-//     deployment: one dsprofd aggregating collectors across hosts. Both
-//     socket flavors share one fd-based Transport (identical backpressure,
-//     poisoning and drop-accounting semantics — a full socket buffer blocks
-//     send() either way); TCP additionally sets TCP_NODELAY so small
-//     control frames (Flush/SnapshotReq) are not Nagle-delayed behind
-//     event batches.
+//     deployment: one dsprofd aggregating collectors across hosts. TCP
+//     additionally sets TCP_NODELAY so small control frames
+//     (Flush/SnapshotReq) are not Nagle-delayed behind event batches.
 //
-// Semantics shared by all:
-//   send()      writes all n bytes or fails; blocks on backpressure.
+// Semantics:
+//   send()      writes all n bytes or fails; blocks on backpressure. SIGPIPE
+//               is avoided via MSG_NOSIGNAL.
 //   recv_some() returns at least 1 byte, or Timeout after timeout_ms
 //               (timeout_ms < 0 = block forever), or Disconnected once the
 //               peer has closed AND the stream is drained.
@@ -54,27 +51,37 @@ class Transport {
   virtual void shutdown() = 0;
 };
 
-/// Create a connected in-process pair (client end, server end). `capacity`
-/// bounds each direction's buffered bytes — the backpressure knob.
-std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> make_pipe_pair(
-    size_t capacity = 1u << 20);
+/// Create a connected in-process pair (client end, server end); throws
+/// dsprof::Error if the socketpair cannot be made.
+std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> make_pipe_pair();
 
-/// A listening socket of either flavor; Server::serve() accepts over this
-/// interface, so the daemon is transport-agnostic.
+/// A listening stream socket of either flavor; it owns the fd, and each
+/// accepted connection is the same fd Transport. Server::serve() accepts
+/// over this class, so the daemon is transport-agnostic.
 class Listener {
  public:
-  virtual ~Listener() = default;
+  virtual ~Listener();
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
   /// Accept one connection; nullptr with non-Ok status on timeout/close.
   /// timeout_ms < 0 blocks until a client arrives or close() is called.
-  virtual std::unique_ptr<Transport> accept(Status& status, int timeout_ms = -1) = 0;
+  std::unique_ptr<Transport> accept(Status& status, int timeout_ms = -1);
 
   /// Unblock accept() and stop listening.
-  virtual void close() = 0;
+  void close();
 
   /// Canonical endpoint URI ("unix://path" / "tcp://host:port", with the
   /// real port when an ephemeral one was requested).
-  virtual std::string endpoint() const = 0;
+  const std::string& endpoint() const { return endpoint_; }
+
+ protected:
+  Listener() = default;
+
+  int fd_ = -1;
+  bool nodelay_ = false;     // TCP: Nagle off on each accepted connection
+  std::string unlink_path_;  // Unix: the socket file, removed on close
+  std::string endpoint_;
 };
 
 /// Listening Unix-domain socket. The path is unlinked on bind and on close.
@@ -83,19 +90,6 @@ class UdsListener final : public Listener {
   /// Bind and listen; throws dsprof::Error on failure (daemon startup is
   /// fail-fast — there is no session to degrade yet).
   explicit UdsListener(const std::string& path);
-  ~UdsListener() override;
-  UdsListener(const UdsListener&) = delete;
-  UdsListener& operator=(const UdsListener&) = delete;
-
-  std::unique_ptr<Transport> accept(Status& status, int timeout_ms = -1) override;
-  void close() override;
-  std::string endpoint() const override { return "unix://" + path_; }
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  int fd_ = -1;
 };
 
 /// Listening TCP socket (numeric IPv4 host, e.g. "127.0.0.1" or "0.0.0.0").
@@ -105,21 +99,11 @@ class TcpListener final : public Listener {
   /// Bind and listen; throws dsprof::Error on failure (fail-fast, like
   /// UdsListener).
   TcpListener(const std::string& host, u16 port);
-  ~TcpListener() override;
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  std::unique_ptr<Transport> accept(Status& status, int timeout_ms = -1) override;
-  void close() override;
-  std::string endpoint() const override;
 
   u16 port() const { return port_; }
-  const std::string& host() const { return host_; }
 
  private:
-  std::string host_;
   u16 port_ = 0;
-  int fd_ = -1;
 };
 
 /// Connect to a listening dsprofd socket.

@@ -60,7 +60,6 @@ class ByteReader {
   ByteReader(const u8* data, size_t size) : buf_(data), size_(size) {}
 
   u8 get_u8() { return get<u8>(); }
-  u16 get_u16() { return get<u16>(); }
   u32 get_u32() { return get<u32>(); }
   u64 get_u64() { return get<u64>(); }
   i64 get_i64() { return static_cast<i64>(get_u64()); }

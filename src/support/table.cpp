@@ -102,10 +102,27 @@ std::string fmt_count(u64 v) {
   return out;
 }
 
-std::string fmt_hex(u64 v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%llX", static_cast<unsigned long long>(v));
-  return buf;
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace dsprof

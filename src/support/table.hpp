@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/common.hpp"
@@ -38,6 +39,9 @@ class TextTable {
 std::string fmt_fixed(double v, int decimals);
 std::string fmt_percent(double fraction);     // 0.513 -> "51.3"
 std::string fmt_count(u64 v);                 // grouped: 1580927631 -> "1,580,927,631"
-std::string fmt_hex(u64 v);                   // 0x1000031b0 style
+
+/// The body of a JSON string literal for `s` (no surrounding quotes): quote
+/// and backslash escaped, \n \r \t by name, other control bytes as \u00XX.
+std::string json_escape(std::string_view s);
 
 }  // namespace dsprof

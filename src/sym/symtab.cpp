@@ -64,12 +64,6 @@ const std::string* SymbolTable::source_text(u32 line) const {
   return it == source_.end() ? nullptr : &it->second;
 }
 
-u32 SymbolTable::max_line() const {
-  u32 m = 0;
-  for (const auto& [line, text] : source_) m = std::max(m, line);
-  return m;
-}
-
 std::string SymbolTable::memref_string(u64 pc) const {
   const MemRef* r = memref_for(pc);
   if (!r) return "";

@@ -72,7 +72,6 @@ class SymbolTable {
   std::optional<u64> branch_target_in(u64 lo, u64 hi) const;
   const std::vector<u64>& branch_targets() const { return branch_targets_; }
   const std::string* source_text(u32 line) const;
-  u32 max_line() const;
 
   bool hwcprof() const { return hwcprof_; }
   bool has_branch_targets() const { return has_branch_targets_; }

@@ -622,8 +622,8 @@ std::string all_views(analyze::Analysis& a) {
 }
 
 TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
-  // Reduction::run (per-shard IncrementalReducer folds + merge_results)
-  // against the seed's serial std::map fold.
+  // Reduction::run (IncrementalReducer folds + merge_results) against the
+  // seed's serial std::map fold.
   analyze::Analysis ab(*ex_, oracle::reduce({ex_}));
   analyze::Analysis as(*ex_);
   EXPECT_EQ(all_views(ab), all_views(as));
@@ -719,10 +719,9 @@ TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
 TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
   // Fuzz the fold inputs, not just one collected workload: random events
   // (valid and wild PCs, random flags/EAs, stacks drawn from a small pool
-  // so interning kicks in), reduced by Reduction::run and in the shard
-  // layout it uses with 1 and 3 workers (contiguous segments, one reducer
-  // each, merged in order) — every rendered view must be byte-identical to
-  // the std::map oracle's.
+  // so interning kicks in), reduced by Reduction::run and split into 1 and
+  // 3 contiguous segments (one reducer each, merged in order) — every
+  // rendered view must be byte-identical to the std::map oracle's.
   std::mt19937_64 rng(0xC0FFEE);
   const u64 text_lo = 0x1000, text_hi = 0x1000 + 8 * 1024;
   const auto rand_pc = [&]() -> u64 {

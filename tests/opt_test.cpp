@@ -11,6 +11,7 @@
 #include "analyze/metrics.hpp"
 #include "collect/collector.hpp"
 #include "experiment/experiment.hpp"
+#include "obs/obs.hpp"
 #include "opt/apply.hpp"
 #include "opt/driver.hpp"
 #include "sa/cfg.hpp"
@@ -76,6 +77,34 @@ TEST(PlanRoundTrip, Json) {
   p.structs = {d};
   EXPECT_NE(plan_to_json(p).find("\"note\":\"a \\\"b\\\" \\\\ c\\td\\n\""),
             std::string::npos);
+}
+
+// One escaper for every JSON writer: quote and backslash escaped, \n \r \t
+// by name and any other control byte as \u00XX, so the output stays valid
+// JSON whatever a name holds.
+TEST(JsonEscape, ControlBytesThroughObsAndPlan) {
+  const std::string raw = "a\"b\\c\nd\re\tf\x01g";
+  const std::string lit = "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\"";
+
+  obs::Snapshot snap;
+  snap.counters = {{raw, 7}};
+  snap.gauges = {{raw, -1}};
+  const std::string obs_json = snap.to_json();
+  EXPECT_NE(obs_json.find("\"counters\":{" + lit + ":7}"), std::string::npos) << obs_json;
+  EXPECT_NE(obs_json.find("\"gauges\":{" + lit + ":-1}"), std::string::npos) << obs_json;
+
+  LayoutPlan plan;
+  plan.metric = raw;
+  StructDirective d;
+  d.struct_name = raw;
+  d.member_order = {raw};
+  d.note = raw;
+  plan.structs = {d};
+  const std::string plan_json = plan_to_json(plan);
+  EXPECT_NE(plan_json.find("\"metric\":" + lit), std::string::npos) << plan_json;
+  EXPECT_NE(plan_json.find("\"name\":" + lit + ",\"order\":[" + lit + "]"), std::string::npos)
+      << plan_json;
+  EXPECT_NE(plan_json.find("\"note\":" + lit + "}"), std::string::npos) << plan_json;
 }
 
 // --- applier ---------------------------------------------------------------

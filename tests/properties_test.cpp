@@ -120,8 +120,8 @@ TEST(MergeResults, MultiDirReductionEqualsMergedSingleDirsUnderRandomSplits) {
   const auto ex_c = testfix::quick_collect(img, "+dtlbm,31", "hi");
   const std::vector<const experiment::Experiment*> dirs = {&ex_a, &ex_b, &ex_c};
   const std::string offline = analyze::render_json_report(analyze::Analysis(dirs));
-  // Offline Reduction::run merges per-shard segments the same way; the
-  // serial std::map oracle pins both to the seed's fold on any core count.
+  // Offline Reduction::run merges per-experiment reducers the same way; the
+  // serial std::map oracle pins both to the seed's fold.
   EXPECT_EQ(analyze::render_json_report(analyze::Analysis(dirs, oracle::reduce(dirs))), offline);
 
   std::mt19937_64 rng(20030815);

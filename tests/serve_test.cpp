@@ -311,7 +311,7 @@ TEST_F(ServeTest, PayloadCodecsRoundtrip) {
 // --- transports -------------------------------------------------------------
 
 TEST(PipeTransport, RoundtripAndTimeout) {
-  auto [a, b] = make_pipe_pair(/*capacity=*/64);
+  auto [a, b] = make_pipe_pair();
   const u8 msg[5] = {'h', 'e', 'l', 'l', 'o'};
   ASSERT_TRUE(a->send(msg, 5).ok());
   u8 buf[16];
@@ -324,19 +324,22 @@ TEST(PipeTransport, RoundtripAndTimeout) {
 }
 
 TEST(PipeTransport, BackpressureBlocksSender) {
-  auto [a, b] = make_pipe_pair(/*capacity=*/16);
+  auto [a, b] = make_pipe_pair();
+  // Far more than the kernel buffers for a socket pair, so send() must
+  // block until the other end drains.
+  constexpr size_t kBig = 16u << 20;
   std::atomic<bool> sent{false};
   std::thread t([&] {
-    std::vector<u8> big(64, 0xAA);
+    std::vector<u8> big(kBig, 0xAA);
     ASSERT_TRUE(a->send(big.data(), big.size()).ok());
     sent.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(sent.load());  // blocked on the 16-byte capacity
-  u8 buf[64];
+  EXPECT_FALSE(sent.load());  // blocked on the full socket buffer
+  std::vector<u8> buf(1u << 16);
   size_t total = 0, got = 0;
-  while (total < 64) {
-    ASSERT_TRUE(b->recv_some(buf, sizeof buf, got, 1000).ok());
+  while (total < kBig) {
+    ASSERT_TRUE(b->recv_some(buf.data(), buf.size(), got, 1000).ok());
     total += got;
   }
   t.join();
@@ -537,7 +540,7 @@ TEST_F(ServeTest, BlockPolicyDropsNothing) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));  // slow reducer
   };
   Server server(sopt);
-  auto [client_end, server_end] = make_pipe_pair(/*capacity=*/4096);
+  auto [client_end, server_end] = make_pipe_pair();
   server.add_session(std::move(server_end));
   Client client(std::move(client_end));
 

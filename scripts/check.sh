@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite, once normally (compiler
 # warnings are errors: CMAKE_COMPILE_WARNING_AS_ERROR) and once under
-# AddressSanitizer (DSPROF_SANITIZE=address); the simulator and trust-boundary
-# suites once more under UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined);
+# AddressSanitizer (DSPROF_SANITIZE=address) and once under
+# UndefinedBehaviorSanitizer (DSPROF_SANITIZE=undefined);
 # the suites that run threads once more under ThreadSanitizer
 # (DSPROF_SANITIZE=thread); plus these
 # static/dynamic gates:
@@ -51,7 +51,7 @@
 #   scripts/check.sh            # all build passes + all gates + benches
 #   scripts/check.sh --fast     # normal pass + gates only
 #   scripts/check.sh --asan     # ASan pass only
-#   scripts/check.sh --ubsan    # UBSan pass over the simulator and boundary suites only
+#   scripts/check.sh --ubsan    # UBSan pass only
 #   scripts/check.sh --tsan     # TSan pass over the threaded suites only
 #   scripts/check.sh --bench    # benchmark sweep only (BENCH_*.json)
 #
@@ -70,32 +70,21 @@ run_pass() {
   cmake --build "${dir}" -j "${jobs}"
   # The normal pass runs every test up to three times: a test that shares
   # on-disk state with another fails only when the two happen to overlap
-  # under -j, so one green run proves little. The ASan pass runs once.
+  # under -j, so one green run proves little. The sanitizer passes run once.
   local repeat=()
   [[ "${name}" == normal ]] && repeat=(--repeat until-fail:3)
   echo "== ${name}: ctest ${repeat[*]:-} =="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${repeat[@]+"${repeat[@]}"}
 }
 
-# UBSan over the suites that drive the simulator's inline fast paths —
-# pointer arithmetic into memory chunks and cache lines, u64 threshold
-# arithmetic for the time-driven counters — plus the collect and
-# multiplexing suites that run them end to end, and the suites that feed
-# untrusted bytes through the trust boundaries: events.bin loading
-# (event_store_test), wire frames (serve_test) and the seeded mutation
-# fuzzer over both (robustness_test). Findings are fatal
-# (-fno-sanitize-recover), so a clean exit is a clean pass.
-ubsan_suites=(mem_test cache_test machine_test collect_test multiplex_test
-              event_store_test serve_test robustness_test)
+# UBSan over the whole tree and the whole suite: the simulator's inline fast
+# paths (pointer arithmetic into memory chunks and cache sets, u64 threshold
+# arithmetic for the time-driven counters) and the trust boundaries that
+# decode untrusted bytes (events.bin, wire frames, the seeded mutation
+# fuzzer) included. Findings are fatal (-fno-sanitize-recover), so a clean
+# ctest is a clean pass.
 run_ubsan() {
-  local dir="$1" t
-  echo "== ubsan: configure + build ${ubsan_suites[*]} (${dir}) =="
-  cmake -B "${dir}" -S "${repo}" -DDSPROF_SANITIZE=undefined
-  cmake --build "${dir}" -j "${jobs}" --target "${ubsan_suites[@]}"
-  for t in "${ubsan_suites[@]}"; do
-    echo "== ubsan: ${t} =="
-    UBSAN_OPTIONS=print_stacktrace=1 "${dir}/tests/${t}" --gtest_brief=1
-  done
+  UBSAN_OPTIONS=print_stacktrace=1 run_pass "ubsan" "$1" -DDSPROF_SANITIZE=undefined
 }
 
 # TSan over the suites that run threads: the Analysis concurrent-reader

@@ -3,65 +3,46 @@
 namespace dsprof::cache {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
+  // Geometry checks run before num_sets() divides by ways * line_size.
+  DSP_CHECK(cfg_.ways >= 1, "cache needs at least one way");
   DSP_CHECK(is_pow2(cfg_.line_size), "line size must be a power of two");
   num_sets_ = cfg_.num_sets();
   DSP_CHECK(is_pow2(num_sets_), "set count must be a power of two");
-  DSP_CHECK(cfg_.ways >= 1, "cache needs at least one way");
   line_bits_ = log2_exact(cfg_.line_size);
   set_bits_ = log2_exact(num_sets_);
-  lines_.resize(num_sets_ * cfg_.ways);
+  tags_.resize(num_sets_ * cfg_.ways);
+  dirty_.resize(num_sets_ * cfg_.ways);
+  valid_.resize(num_sets_);
 }
 
-CacheAccess Cache::miss(u64 addr, bool write) {
-  if (write && !cfg_.write_allocate) {
-    return CacheAccess{};  // write-through no-allocate: nothing changes
-  }
-  return allocate(addr, write);
-}
-
-CacheAccess Cache::allocate(u64 addr, bool write) {
-  const u64 set = set_index(addr);
-  const u64 tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.ways];
-  Line* victim = base;
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (!l.valid) {
-      victim = &l;
-      break;
-    }
-    if (l.lru < victim->lru) victim = &l;
-  }
+CacheAccess Cache::allocate(u64 set, u64 tag, bool write) {
+  u64* tags = &tags_[set * cfg_.ways];
+  u8* dirty = &dirty_[set * cfg_.ways];
+  u32& n = valid_[set];
   CacheAccess r;
   r.filled = true;
-  if (victim->valid && victim->dirty) {
+  if (n < cfg_.ways) {
+    ++n;
+  } else if (dirty[n - 1]) {  // full: the LRU way is displaced
     r.evicted_dirty = true;
-    r.evicted_addr = (victim->tag << (line_bits_ + set_bits_)) | (set << line_bits_);
+    r.evicted_addr = (tags[n - 1] << (line_bits_ + set_bits_)) | (set << line_bits_);
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = write;
-  victim->lru = ++tick_;
+  move_to_front(tags, dirty, n - 1, tag, write);
   return r;
 }
 
 CacheAccess Cache::fill_line(u64 addr) {
-  const u64 set = set_index(addr);
-  const u64 tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.ways];
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return CacheAccess{true, false, false, 0};
-  }
+  if (probe(addr)) return CacheAccess{true, false, false, 0};
   ++prefetch_fills_;
-  return allocate(addr, /*write=*/false);
+  return allocate(set_index(addr), tag_of(addr), /*write=*/false);
 }
 
 bool Cache::probe(u64 addr) const {
   const u64 set = set_index(addr);
   const u64 tag = tag_of(addr);
-  const Line* base = &lines_[set * cfg_.ways];
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+  const u64* tags = &tags_[set * cfg_.ways];
+  for (u32 w = 0; w < valid_[set]; ++w) {
+    if (tags[w] == tag) return true;
   }
   return false;
 }
@@ -69,6 +50,8 @@ bool Cache::probe(u64 addr) const {
 namespace {
 CacheConfig tlb_as_cache(const TlbConfig& t) {
   CacheConfig c;
+  DSP_CHECK(t.ways >= 1, "TLB needs at least one way");
+  DSP_CHECK(t.entries % t.ways == 0, "TLB entries not divisible by ways");
   DSP_CHECK(is_pow2(t.page_size), "page size must be a power of two");
   c.line_size = static_cast<u32>(std::min<u64>(t.page_size, 1u << 30));
   c.ways = t.ways;
@@ -77,9 +60,7 @@ CacheConfig tlb_as_cache(const TlbConfig& t) {
 }
 }  // namespace
 
-Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg), cache_(tlb_as_cache(cfg)) {
-  DSP_CHECK(cfg.entries % cfg.ways == 0, "TLB entries not divisible by ways");
-}
+Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg), cache_(tlb_as_cache(cfg)) {}
 
 bool Tlb::probe(u64 addr) const { return cache_.probe(addr); }
 

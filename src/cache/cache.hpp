@@ -37,23 +37,27 @@ class Cache {
 
   /// Perform a read (write=false) or write (write=true) of the line
   /// containing `addr`. Writes mark the line dirty when it is (or becomes)
-  /// resident. The hit scan is inline; a miss goes out of line.
+  /// resident. The hit scan is inline; a hit on the most recently used way
+  /// writes no recency state. A miss allocates out of line.
   CacheAccess access(u64 addr, bool write) {
     ++accesses_;
+    const u64 set = set_index(addr);
     const u64 tag = tag_of(addr);
-    Line* base = &lines_[set_index(addr) * cfg_.ways];
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-      Line& l = base[w];
-      if (l.valid && l.tag == tag) {
-        ++hits_;
-        l.lru = ++tick_;
-        if (write) l.dirty = true;
-        CacheAccess r;
-        r.hit = true;
-        return r;
-      }
+    u64* tags = &tags_[set * cfg_.ways];
+    u8* dirty = &dirty_[set * cfg_.ways];
+    for (u32 w = 0; w < valid_[set]; ++w) {
+      if (tags[w] != tag) continue;
+      ++hits_;
+      if (w != 0) move_to_front(tags, dirty, w, tag, dirty[w]);
+      if (write) dirty[0] = 1;
+      CacheAccess r;
+      r.hit = true;
+      return r;
     }
-    return miss(addr, write);
+    if (write && !cfg_.write_allocate) {
+      return CacheAccess{};  // write-through no-allocate: nothing changes
+    }
+    return allocate(set, tag, write);
   }
 
   /// Fill the line containing `addr` without counting it as a demand access
@@ -73,24 +77,30 @@ class Cache {
   u64 prefetch_fills() const { return prefetch_fills_; }
 
  private:
-  struct Line {
-    u64 tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    u64 lru = 0;
-  };
-
   u64 set_index(u64 addr) const { return (addr >> line_bits_) & (num_sets_ - 1); }
   u64 tag_of(u64 addr) const { return addr >> (line_bits_ + set_bits_); }
-  CacheAccess miss(u64 addr, bool write);
-  CacheAccess allocate(u64 addr, bool write);
+  /// Shift ways [0, from) of a set back by one, overwriting way `from`, and
+  /// put (tag, dirty) in way 0.
+  static void move_to_front(u64* tags, u8* dirty, u32 from, u64 tag, u8 d) {
+    for (u32 w = from; w > 0; --w) {
+      tags[w] = tags[w - 1];
+      dirty[w] = dirty[w - 1];
+    }
+    tags[0] = tag;
+    dirty[0] = d;
+  }
+  CacheAccess allocate(u64 set, u64 tag, bool write);
 
   CacheConfig cfg_;
   unsigned line_bits_;
   unsigned set_bits_;
   u64 num_sets_;
-  std::vector<Line> lines_;  // num_sets * ways, set-major
-  u64 tick_ = 0;
+  // Each set's ways in most-recently-used-first order, set-major. Nothing
+  // invalidates a line, so a set's valid ways are the prefix [0, valid_[set])
+  // and its LRU way is the last of them: this order is exact true LRU.
+  std::vector<u64> tags_;
+  std::vector<u8> dirty_;
+  std::vector<u32> valid_;  // per set
   u64 accesses_ = 0;
   u64 hits_ = 0;
   u64 prefetch_fills_ = 0;

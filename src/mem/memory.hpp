@@ -55,18 +55,25 @@ class Memory {
 
   /// Typed accesses. `size` is 1, 4 or 8; loads zero-extend.
   /// Throws Error on unmapped addresses or (for writes) read-only segments.
+  /// The fast paths copy with constant sizes: a runtime-size memcpy
+  /// compiles to `rep movs` on every simulated load and store.
   u64 load(u64 addr, unsigned size) {
     if (const u8* p = fast_bytes(addr, size, /*write=*/false)) {
-      u64 v = 0;
-      std::memcpy(&v, p, size);
-      return v;
+      switch (size) {
+        case 8: return copy_out<u64>(p);
+        case 4: return copy_out<u32>(p);
+        case 1: return *p;
+      }
     }
     return load_checked(addr, size);
   }
   void store(u64 addr, unsigned size, u64 value) {
     if (u8* p = fast_bytes(addr, size, /*write=*/true)) {
-      std::memcpy(p, &value, size);
-      return;
+      switch (size) {
+        case 8: copy_in<u64>(p, value); return;
+        case 4: copy_in<u32>(p, static_cast<u32>(value)); return;
+        case 1: *p = static_cast<u8>(value); return;
+      }
     }
     store_checked(addr, size, value);
   }
@@ -92,6 +99,17 @@ class Memory {
   struct Region {
     std::vector<std::unique_ptr<u8[]>> chunks{kChunksPerRegion};
   };
+
+  template <typename T>
+  static u64 copy_out(const u8* p) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  template <typename T>
+  static void copy_in(u8* p, T v) {
+    std::memcpy(p, &v, sizeof v);
+  }
 
   /// The backing bytes of an access that needs no check: the cached segment
   /// holds the whole access and permits it, the address is aligned and its

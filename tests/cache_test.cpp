@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hpp"
+#include "cache_oracle.hpp"
 #include "support/rng.hpp"
 
 namespace dsprof::cache {
@@ -72,6 +73,9 @@ TEST(Cache, StatsConsistent) {
 TEST(Cache, InvalidGeometryRejected) {
   EXPECT_THROW(Cache({1000, 2, 32, true}), Error);  // not divisible
   EXPECT_THROW(Cache({1024, 2, 33, true}), Error);  // line not pow2
+  // Checked before the set count divides by ways * line_size.
+  EXPECT_THROW(Cache({1024, 0, 32, true}), Error);  // no ways
+  EXPECT_THROW(Cache({1024, 2, 0, true}), Error);   // no line
 }
 
 struct Geometry {
@@ -109,6 +113,61 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
                                            Geometry{1024, 1, 64},
                                            Geometry{16 * 1024, 8, 128}));
 
+// The MRU-ordered sets against the tick-LRU oracle: seeded random
+// interleavings of demand reads and writes, prefetch fills and probes over
+// addresses that both hit on every way and overflow the cache, compared
+// field by field after every call.
+class CacheDifferential : public ::testing::TestWithParam<std::tuple<Geometry, bool>> {};
+
+std::string differential_name(const ::testing::TestParamInfo<std::tuple<Geometry, bool>>& info) {
+  const Geometry g = std::get<0>(info.param);
+  return std::to_string(g.size) + "B_" + std::to_string(g.ways) + "way_" + std::to_string(g.line) +
+         "Bline_" + (std::get<1>(info.param) ? "alloc" : "noalloc");
+}
+
+TEST_P(CacheDifferential, MatchesTickLruOracle) {
+  const auto [g, write_allocate] = GetParam();
+  const CacheConfig cfg{g.size, g.ways, g.line, write_allocate};
+  Cache c(cfg);
+  oracle::TickLruCache ref(cfg);
+  Xoshiro256 rng(g.size * 131 + g.ways * 7 + (write_allocate ? 1 : 0));
+  u64 dirty_evictions = 0;
+  for (int i = 0; i < 40000; ++i) {
+    // Half the addresses fall in a quarter of the cache (mostly hits on
+    // varying ways), half in four times its size (misses and evictions).
+    const u64 addr = rng.below(2) == 0 ? rng.below(g.size / 4) : rng.below(4 * g.size);
+    const u64 op = rng.below(8);  // 0-3 read, 4-5 write, 6 fill_line, 7 probe
+    if (op == 7) {
+      ASSERT_EQ(c.probe(addr), ref.probe(addr)) << "probe at step " << i;
+    } else {
+      const CacheAccess got = op == 6 ? c.fill_line(addr) : c.access(addr, op >= 4);
+      const CacheAccess want = op == 6 ? ref.fill_line(addr) : ref.access(addr, op >= 4);
+      ASSERT_EQ(got.hit, want.hit) << "step " << i << " op " << op;
+      ASSERT_EQ(got.filled, want.filled) << "step " << i << " op " << op;
+      ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "step " << i << " op " << op;
+      ASSERT_EQ(got.evicted_addr, want.evicted_addr) << "step " << i << " op " << op;
+      dirty_evictions += got.evicted_dirty ? 1 : 0;
+    }
+    ASSERT_EQ(c.accesses(), ref.accesses()) << "step " << i;
+    ASSERT_EQ(c.hits(), ref.hits()) << "step " << i;
+    ASSERT_EQ(c.prefetch_fills(), ref.prefetch_fills()) << "step " << i;
+  }
+  EXPECT_GT(c.hits(), 0u);
+  EXPECT_GT(c.misses(), 0u);
+  EXPECT_GT(dirty_evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Combine(::testing::Values(Geometry{1024, 1, 32},      // direct-mapped
+                                         Geometry{2048, 2, 64},      // 2-way
+                                         Geometry{4096, 4, 32},      // 4-way
+                                         Geometry{8192, 8, 64},      // 8-way
+                                         Geometry{512, 16, 32},      // fully associative
+                                         Geometry{64 * 8192, 64, 8192}),  // fully associative
+                       ::testing::Bool()),
+    differential_name);
+
 TEST(Tlb, MissThenHit) {
   Tlb t({64, 2, 8192});
   EXPECT_FALSE(t.lookup(0x10000));
@@ -124,6 +183,12 @@ TEST(Tlb, CoverageLimit) {
     for (u64 p = 0; p < 128; ++p) t.lookup(p * 8192);
   }
   EXPECT_EQ(t.misses(), t.accesses());
+}
+
+TEST(Tlb, InvalidGeometryRejected) {
+  EXPECT_THROW(Tlb({64, 0, 8192}), Error);  // no ways
+  EXPECT_THROW(Tlb({64, 3, 8192}), Error);  // entries not divisible by ways
+  EXPECT_THROW(Tlb({64, 2, 8000}), Error);  // page not pow2
 }
 
 TEST(Tlb, LargePagesReduceMisses) {

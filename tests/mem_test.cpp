@@ -187,5 +187,25 @@ TEST(Memory, AccessStraddlingSegmentEndFaultsAfterWarmAccess) {
   EXPECT_EQ(m.load(kDataBase + 0x10008, 4), 0u);
 }
 
+// Sub-word accesses on the warm fast path copy exactly their own bytes: a
+// narrower store leaves the rest of the word alone, narrower loads
+// zero-extend.
+TEST(Memory, SubWordAccessesAfterWarmAccess) {
+  Memory m;
+  setup_mem(m);
+  const u64 a = kHeapBase + 0x40;
+  m.store(a, 8, ~u64{0});
+  EXPECT_EQ(m.load(a, 8), ~u64{0});
+  m.store(a, 4, 0xAAAAAAAA11223344ull);  // only the low 4 bytes land
+  EXPECT_EQ(m.load(a, 8), 0xFFFFFFFF11223344ull);
+  m.store(a + 5, 1, 0x1234);  // only the low byte lands, in byte 5
+  EXPECT_EQ(m.load(a, 8), 0xFFFF34FF11223344ull);
+  m.store(a + 8, 8, ~u64{0});
+  EXPECT_EQ(m.load(a + 8, 4), 0xFFFFFFFFull);
+  EXPECT_EQ(m.load(a + 12, 4), 0xFFFFFFFFull);
+  EXPECT_EQ(m.load(a + 15, 1), 0xFFull);
+  EXPECT_EQ(m.load(a + 4, 1), 0xFFull);
+}
+
 }  // namespace
 }  // namespace dsprof::mem
